@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "core/chaos.h"
+#include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
 #include "threat/scenario.h"
 #include "util/strings.h"
@@ -24,6 +25,9 @@ namespace {
 
 int run_sweep(const core::ChaosRunner& runner, const char* title) {
   std::cout << "=== chaos sweep: " << title << " ===\n\n";
+  runtime::EnsembleOptions options;
+  options.jobs = 1;  // plans in order on this thread: per-config wall times
+  runtime::EnsembleRunner runtime(options);
   util::TextTable table;
   table.set_columns(
       {"config", "plans", "runs", "drops", "duplicates", "rejoins",
@@ -36,7 +40,7 @@ int run_sweep(const core::ChaosRunner& runner, const char* title) {
   for (const auto& config :
        scada::paper_configurations("primary", "backup", "dc")) {
     const auto start = std::chrono::steady_clock::now();
-    const core::ChaosReport report = runner.sweep(config);
+    const core::ChaosReport report = runner.sweep(config, runtime);
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);
     table.add_row({report.config_name, std::to_string(report.plans_run),

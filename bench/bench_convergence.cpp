@@ -47,8 +47,11 @@ int main() {
     const double p = static_cast<double>(failures) / static_cast<double>(n);
     const util::Interval ci = util::wilson_interval(failures, n);
 
-    const auto results = pipeline.analyze_all(
-        configs, threat::ThreatScenario::kHurricane, prefix);
+    std::vector<core::ScenarioResult> results;
+    for (const auto& config : configs) {
+      results.push_back(
+          pipeline.analyze(config, threat::ThreatScenario::kHurricane, prefix));
+    }
     const double delta =
         core::max_abs_delta(results, core::paper_expected("fig6"));
 

@@ -46,10 +46,8 @@ std::string record_json(const RuntimeBenchRecord& r) {
       << ", \"cache_lookups\": " << r.cache_lookups
       << ", \"cache_hits\": " << r.cache_hits
       << ", \"warm_hit_rate\": " << r.warm_hit_rate();
-  if (r.guarded_s > 0.0) {
-    out << std::setprecision(4) << ", \"guarded_s\": " << r.guarded_s
-        << ", \"guarded_overhead\": " << r.guarded_overhead()
-        << ", \"fault_s\": " << r.fault_s
+  if (r.fault_s > 0.0) {
+    out << std::setprecision(4) << ", \"fault_s\": " << r.fault_s
         << ", \"fault_quarantined\": " << r.fault_quarantined
         << ", \"fault_retries\": " << r.fault_retries;
   }

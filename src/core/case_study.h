@@ -94,7 +94,8 @@ class CaseStudyRunner {
 
  private:
   /// Content address of the (engine, realization count) ensemble; computed
-  /// once, lets warm runs hit the result cache without regenerating.
+  /// once and shared by run() and run_all_resumable(), so both key the
+  /// result cache identically and warm runs hit it without regenerating.
   /// Safe even under quarantine: a degraded run is never stored, so the
   /// full-ensemble address can only ever resolve to full-ensemble results.
   const std::string& batch_digest();

@@ -101,17 +101,8 @@ sim::FaultPlan ChaosRunner::shrink(const scada::Configuration& config,
   return minimal;
 }
 
-ChaosReport ChaosRunner::sweep(const scada::Configuration& config) const {
-  return sweep_impl(config, nullptr);
-}
-
 ChaosReport ChaosRunner::sweep(const scada::Configuration& config,
                                runtime::EnsembleRunner& runtime) const {
-  return sweep_impl(config, &runtime.pool());
-}
-
-ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
-                                    runtime::TaskPool* pool) const {
   ChaosReport report;
   report.config_name = config.name;
   const sim::ScadaDes des(config, options_.des);
@@ -133,8 +124,8 @@ ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
 
   // Each plan is a pure function of (base_seed, plan index) and every DES
   // run builds its state locally, so plans are the unit of parallelism;
-  // folding per-plan results in plan order keeps the report identical to
-  // the serial sweep.
+  // folding per-plan results in plan order keeps the report identical at
+  // any --jobs value.
   struct PlanResult {
     int runs = 0;
     std::uint64_t drops = 0;
@@ -191,25 +182,13 @@ ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
   // Per-plan containment: one throwing plan (a DES bug, an injected fault)
   // must cost that plan, not the sweep. No retries — the DES is a pure
   // function of the plan, so a second attempt cannot heal anything.
-  if (pool != nullptr) {
-    const runtime::IsolatedRunResult isolated = pool->for_each_isolated(
-        plans, 1,
-        [&](std::size_t p, unsigned /*attempt*/,
-            const runtime::CancellationToken& /*token*/) { run_plan(p); });
-    for (const runtime::TaskFailure& f : isolated.failures) {
-      report.plan_failures.push_back(runtime::make_failure_record(
-          f, static_cast<std::uint64_t>(f.index), options_.base_seed));
-    }
-  } else {
-    for (std::size_t p = 0; p < plans; ++p) {
-      try {
-        run_plan(p);
-      } catch (...) {
-        runtime::TaskFailure f{p, 1, std::current_exception()};
-        report.plan_failures.push_back(runtime::make_failure_record(
-            f, static_cast<std::uint64_t>(p), options_.base_seed));
-      }
-    }
+  const runtime::IsolatedRunResult isolated = runtime.pool().for_each_isolated(
+      plans, 1,
+      [&](std::size_t p, unsigned /*attempt*/,
+          const runtime::CancellationToken& /*token*/) { run_plan(p); });
+  for (const runtime::TaskFailure& f : isolated.failures) {
+    report.plan_failures.push_back(runtime::make_failure_record(
+        f, static_cast<std::uint64_t>(f.index), options_.base_seed));
   }
 
   for (PlanResult& slot : per_plan) {
@@ -223,16 +202,6 @@ ChaosReport ChaosRunner::sweep_impl(const scada::Configuration& config,
     }
   }
   return report;
-}
-
-std::vector<ChaosReport> ChaosRunner::sweep_all(
-    const std::vector<scada::Configuration>& configs) const {
-  std::vector<ChaosReport> reports;
-  reports.reserve(configs.size());
-  for (const scada::Configuration& config : configs) {
-    reports.push_back(sweep(config));
-  }
-  return reports;
 }
 
 std::vector<ChaosReport> ChaosRunner::sweep_all(

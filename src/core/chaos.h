@@ -91,22 +91,17 @@ class ChaosRunner {
  public:
   explicit ChaosRunner(ChaosOptions options = {});
 
-  /// Sweeps `options.plans` seeded benign plans x `options.scenarios`
-  /// over one configuration; any failure is shrunk and reported.
-  ChaosReport sweep(const scada::Configuration& config) const;
-
-  /// Runner-routed sweep: plans are simulated (and failing ones shrunk) on
-  /// the runtime's work-stealing pool, one plan per task, and the report is
-  /// folded in plan order — identical to the serial sweep at any --jobs
-  /// value (each plan's RNG is a child of (base_seed, plan index)).
+  /// Sweeps `options.plans` seeded plans x `options.scenarios` over one
+  /// configuration; any failure is shrunk and reported. Plans are
+  /// simulated (and failing ones shrunk) on the runtime's work-stealing
+  /// pool, one isolated plan per task, and the report is folded in plan
+  /// order — identical at any --jobs value (each plan's RNG is a child of
+  /// (base_seed, plan index)); a runtime at jobs=1 runs them inline.
   ChaosReport sweep(const scada::Configuration& config,
                     runtime::EnsembleRunner& runtime) const;
 
-  /// All configurations, one report each.
-  std::vector<ChaosReport> sweep_all(
-      const std::vector<scada::Configuration>& configs) const;
-
-  /// Runner-routed sweep_all (per-plan parallelism within each config).
+  /// All configurations, one report each (per-plan parallelism within
+  /// each config).
   std::vector<ChaosReport> sweep_all(
       const std::vector<scada::Configuration>& configs,
       runtime::EnsembleRunner& runtime) const;
@@ -133,9 +128,6 @@ class ChaosRunner {
              const threat::SystemState& attacked,
              threat::OperationalState expected,
              const sim::FaultPlan& plan) const;
-
-  ChaosReport sweep_impl(const scada::Configuration& config,
-                         runtime::TaskPool* pool) const;
 
   ChaosOptions options_;
 };

@@ -149,22 +149,6 @@ std::string_view AnalysisPipeline::attacker_tag() const noexcept {
 
 ScenarioResult AnalysisPipeline::analyze_lazy(
     const scada::Configuration& config, threat::ThreatScenario scenario,
-    const runtime::EnsembleRunner::RealizationsFn& realizations,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
-  // A caller-materialized set has no generation ledger: every realization
-  // in it already exists, so attempted == size and the batch is clean.
-  return analyze_lazy(
-      config, scenario,
-      [&realizations]() {
-        const std::vector<surge::HurricaneRealization>& r = realizations();
-        return runtime::BatchView{&r, nullptr, r.size()};
-      },
-      runtime, realization_set_digest);
-}
-
-ScenarioResult AnalysisPipeline::analyze_lazy(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
     const runtime::EnsembleRunner::BatchFn& batch,
     runtime::EnsembleRunner& runtime,
     std::string_view realization_set_digest) const {
@@ -183,133 +167,51 @@ ScenarioResult AnalysisPipeline::analyze_lazy(
   return result_from_report(config, scenario, std::move(report));
 }
 
-ScenarioResult AnalysisPipeline::analyze(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
-  const std::string digest =
-      realization_set_digest.empty()
-          ? runtime::EnsembleRunner::digest_realizations(realizations)
-          : std::string(realization_set_digest);
-  return analyze_lazy(
-      config, scenario,
-      [&realizations]() -> const std::vector<surge::HurricaneRealization>& {
-        return realizations;
-      },
-      runtime, digest);
-}
-
 ResumableAnalysis AnalysisPipeline::analyze_resumable(
     const std::vector<SweepCell>& cells,
     const surge::RealizationEngine& engine, std::size_t count,
-    runtime::EnsembleRunner& runtime, const runtime::CheckpointOptions& ckpt,
+    runtime::EnsembleRunner& runtime, std::string_view realization_set_digest,
+    const runtime::CheckpointOptions& ckpt,
     runtime::CancellationToken* interrupt) const {
   obs::Span span("pipeline.analyze_resumable");
-  ResumableAnalysis out;
-  out.results.resize(cells.size());
-
-  // Pass 1 — cache: a cell whose full distribution is already stored needs
-  // no realizations at all. Only the remaining LIVE cells join the sweep.
-  const std::string batch_digest =
-      runtime::EnsembleRunner::digest_engine_batch(engine, count);
-  const bool use_cache = runtime.options().cache;
-  std::vector<std::size_t> live;      // cell index per live series
-  std::vector<std::string> live_keys; // job key per live series
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& cell = cells[i];
-    const std::string key = runtime::EnsembleRunner::job_key(
-        *cell.config, cell.scenario, attacker_tag(), batch_digest);
-    if (use_cache) {
-      if (const auto cached = runtime.store().lookup(key)) {
-        runtime::EnsembleReport hit;
-        hit.counts.counts = cached->counts;
-        hit.counts.total = cached->total;
-        hit.counts.from_cache = true;
-        hit.attempted = hit.completed =
-            static_cast<std::size_t>(cached->total);
-        out.results[i] =
-            result_from_report(*cell.config, cell.scenario, std::move(hit));
-        ++out.cached_cells;
-        continue;
-      }
-    }
-    live.push_back(i);
-    live_keys.push_back(key);
-  }
-  if (live.empty()) return out;
-
-  // Pass 2 — one fused sweep over the live cells. The journal is keyed by
-  // the engine-batch digest AND the live-series keys, so a checkpoint
-  // taken under different knobs, a different attacker, or a different
-  // set of outstanding cells can never resume.
+  // One fused sweep over every cell, one series per cell, keyed by its
+  // job key. The journal digest binds the engine batch AND the attacker,
+  // so a checkpoint taken under different knobs can never resume.
   runtime::SweepSpec spec;
   {
     util::Digest d;
-    d.str("ct-sweep").str(batch_digest).str(attacker_tag());
+    d.str("ct-sweep").str(realization_set_digest).str(attacker_tag());
     spec.digest = d.hex();
   }
   spec.count = count;
-  spec.series = live_keys;
+  spec.series.reserve(cells.size());
+  for (const SweepCell& cell : cells) {
+    spec.series.push_back(runtime::EnsembleRunner::job_key(
+        *cell.config, cell.scenario, attacker_tag(), realization_set_digest));
+  }
 
   runtime::ResumableReport report = runtime.run_resumable(
       engine, spec,
       [&](std::size_t series, const surge::HurricaneRealization& r) {
-        const SweepCell& cell = cells[live[series]];
+        const SweepCell& cell = cells[series];
         return static_cast<int>(outcome_for(*cell.config, cell.scenario, r));
       },
       ckpt, interrupt);
 
+  ResumableAnalysis out;
   out.resume = report.resume;
   out.interrupted = report.interrupted;
   out.restored = report.restored;
   out.executed = report.executed;
   out.checkpoints = report.checkpoints;
-
-  for (std::size_t s = 0; s < live.size(); ++s) {
-    const SweepCell& cell = cells[live[s]];
-    // Cache only a COMPLETE clean distribution: a stored record asserts
-    // "this key's full result" (same contract as the guarded paths), so
-    // interrupted or degraded series stay out.
-    if (use_cache && !report.interrupted &&
-        report.series[s].failures.empty() &&
-        report.series[s].attempted == count) {
-      runtime::CachedCounts record;
-      record.counts = report.series[s].counts.counts;
-      record.total = report.series[s].counts.total;
-      runtime.store().store(live_keys[s], record);
-    }
-    out.results[live[s]] = result_from_report(*cell.config, cell.scenario,
-                                              std::move(report.series[s]));
+  out.results.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (report.series[i].counts.from_cache) ++out.cached_cells;
+    out.results.push_back(result_from_report(*cells[i].config,
+                                             cells[i].scenario,
+                                             std::move(report.series[i])));
   }
   return out;
-}
-
-std::vector<ScenarioResult> AnalysisPipeline::analyze_all(
-    const std::vector<scada::Configuration>& configs,
-    threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
-  const std::string digest =
-      realization_set_digest.empty()
-          ? runtime::EnsembleRunner::digest_realizations(realizations)
-          : std::string(realization_set_digest);
-  std::vector<ScenarioResult> out;
-  out.reserve(configs.size());
-  for (const scada::Configuration& c : configs) {
-    out.push_back(analyze(c, scenario, realizations, runtime, digest));
-  }
-  return out;
-}
-
-ScenarioResult AnalysisPipeline::analyze_csv(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    std::istream& in, std::string_view source_name) const {
-  const LoadedRealizations loaded = load_realizations_csv(in, source_name);
-  ScenarioResult result = analyze(config, scenario, loaded.realizations);
-  result.skipped_realizations = loaded.skipped_rows;
-  return result;
 }
 
 LoadedRealizations load_realizations_csv(std::istream& in,
@@ -392,18 +294,6 @@ void write_realizations_csv(
         .field(r.max_shoreline_wse_m);
     writer.end_row();
   }
-}
-
-std::vector<ScenarioResult> AnalysisPipeline::analyze_all(
-    const std::vector<scada::Configuration>& configs,
-    threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations) const {
-  std::vector<ScenarioResult> out;
-  out.reserve(configs.size());
-  for (const scada::Configuration& c : configs) {
-    out.push_back(analyze(c, scenario, realizations));
-  }
-  return out;
 }
 
 }  // namespace ct::core

@@ -46,9 +46,6 @@ struct ScenarioResult {
   threat::ThreatScenario scenario{};
   /// PARTIAL distribution when degraded(): only completed realizations.
   OutcomeDistribution outcomes;
-  /// Realization rows that were malformed and skipped (only non-zero when
-  /// the realizations came from an external CSV; see analyze_csv).
-  std::size_t skipped_realizations = 0;
   /// True when the outcomes were served by the runtime's result cache
   /// instead of being recomputed (runner-routed analyze paths only).
   bool from_cache = false;
@@ -140,49 +137,24 @@ class AnalysisPipeline {
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const surge::HurricaneRealization& realization) const;
 
-  /// Aggregates outcome probabilities over a realization set.
+  /// Serial reference: aggregates outcome probabilities over a
+  /// realization set on the calling thread. Batch-fatal, no cache.
   ScenarioResult analyze(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const std::vector<surge::HurricaneRealization>& realizations) const;
 
-  /// Runner-routed variant: shards the realization range across the
-  /// runtime's work-stealing pool (bit-identical to the serial analyze at
-  /// any --jobs value) and serves/records the result in its
-  /// content-addressed cache. `realization_set_digest` identifies the
-  /// realization set (EnsembleRunner::digest_* helpers); pass "" to derive
-  /// it from the content.
-  ScenarioResult analyze(
-      const scada::Configuration& config, threat::ThreatScenario scenario,
-      const std::vector<surge::HurricaneRealization>& realizations,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest = {}) const;
-
-  /// Lazy runner-routed variant: `realizations` is only invoked on a cache
-  /// miss, so a warm rerun never materializes the ensemble at all.
-  ScenarioResult analyze_lazy(
-      const scada::Configuration& config, threat::ThreatScenario scenario,
-      const runtime::EnsembleRunner::RealizationsFn& realizations,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest) const;
-
-  /// Guarded lazy variant: the batch producer (typically wrapping
-  /// EnsembleRunner::generate_guarded) reports generation failures via its
-  /// ledger, which merge with counting failures into the result's
-  /// quarantine accounting.
+  /// Runner-routed analysis over a materialized batch. `batch` is only
+  /// invoked on a cache miss, so a warm rerun never materializes the
+  /// ensemble at all; its ledger (typically from
+  /// EnsembleRunner::generate_guarded) merges with counting failures into
+  /// the result's quarantine accounting. Bit-identical to the serial
+  /// analyze at any --jobs value. `realization_set_digest` identifies the
+  /// batch (EnsembleRunner::digest_* helpers); "" skips the cache.
   ScenarioResult analyze_lazy(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const runtime::EnsembleRunner::BatchFn& batch,
       runtime::EnsembleRunner& runtime,
       std::string_view realization_set_digest) const;
-
-  /// Like analyze(), but over realizations streamed from the interchange
-  /// CSV. Malformed rows degrade gracefully: they are skipped and surfaced
-  /// in ScenarioResult::skipped_realizations rather than aborting the run.
-  /// `source_name` labels the stream in per-row error records.
-  ScenarioResult analyze_csv(const scada::Configuration& config,
-                             threat::ThreatScenario scenario, std::istream& in,
-                             std::string_view source_name =
-                                 "realizations.csv") const;
 
   /// Crash-consistent sweep matrix: analyzes every (configuration,
   /// scenario) cell over realizations [0, count) from `engine`, generating
@@ -195,26 +167,17 @@ class AnalysisPipeline {
   /// after a final flush (SIGINT/SIGTERM path): the returned analysis then
   /// has interrupted=true and partial distributions, and the on-disk state
   /// feeds the next --resume. See runtime/checkpoint.h for the journal.
+  /// `realization_set_digest` is the content address of the ensemble,
+  /// EnsembleRunner::digest_engine_batch(engine, count); it keys both the
+  /// result cache and the journal (callers cache it: computing it runs one
+  /// realization).
   ResumableAnalysis analyze_resumable(
       const std::vector<SweepCell>& cells,
       const surge::RealizationEngine& engine, std::size_t count,
       runtime::EnsembleRunner& runtime,
+      std::string_view realization_set_digest,
       const runtime::CheckpointOptions& ckpt,
       runtime::CancellationToken* interrupt = nullptr) const;
-
-  /// Convenience: all configurations x one scenario.
-  std::vector<ScenarioResult> analyze_all(
-      const std::vector<scada::Configuration>& configs,
-      threat::ThreatScenario scenario,
-      const std::vector<surge::HurricaneRealization>& realizations) const;
-
-  /// Runner-routed analyze_all.
-  std::vector<ScenarioResult> analyze_all(
-      const std::vector<scada::Configuration>& configs,
-      threat::ThreatScenario scenario,
-      const std::vector<surge::HurricaneRealization>& realizations,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest = {}) const;
 
   AttackerModel attacker_model() const noexcept { return model_; }
   /// Cache-key tag naming the attack algorithm of this pipeline.

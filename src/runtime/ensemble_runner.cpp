@@ -50,7 +50,6 @@ void fold_guard_result(const IsolatedRunResult& run) {
 ResultStoreOptions store_options(const EnsembleOptions& o,
                                  const RuntimeFaultProfile& fault) {
   ResultStoreOptions s;
-  s.memory_entries = o.memory_entries;
   s.disk = o.cache && o.disk_cache;
   s.disk_dir = o.cache_dir;
   s.inject_write_failure = fault.cache_write_failure;
@@ -74,6 +73,12 @@ void cooperative_delay(std::chrono::milliseconds total,
     std::this_thread::sleep_for(milliseconds(1));
   }
   token.poll("fault-delay");
+}
+
+/// Realizations per generation task: one realization is the expensive unit
+/// (storm + surge solve), so a few per task suffice.
+std::size_t generation_chunk(const EnsembleOptions& o) {
+  return std::max<std::size_t>(1, o.chunk / 8);
 }
 
 }  // namespace
@@ -216,89 +221,56 @@ util::Interval EnsembleReport::mass_bound(std::size_t bucket,
   return {std::max(0.0, cp.lo * m / n), std::min(1.0, (cp.hi * m + q) / n)};
 }
 
-EnsembleCounts EnsembleRunner::count_outcomes(const RealizationsFn& realizations,
-                                              const OutcomeFn& outcome,
-                                              const std::string& key) {
-  const bool use_cache = options_.cache && !key.empty();
-  if (use_cache) {
-    if (const auto cached = store_.lookup(key)) {
-      EnsembleCounts hit;
-      hit.counts = cached->counts;
-      hit.total = cached->total;
-      hit.from_cache = true;
-      return hit;
-    }
-  }
-  return count_fresh(realizations(), outcome, use_cache ? key : std::string());
+TaskOptions EnsembleRunner::task_options() const noexcept {
+  TaskOptions task_options;
+  task_options.timeout = options_.task_timeout;
+  task_options.max_retries = options_.max_retries;
+  return task_options;
 }
 
-EnsembleCounts EnsembleRunner::count_outcomes(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const OutcomeFn& outcome, const std::string& key) {
-  const bool use_cache = options_.cache && !key.empty();
-  if (use_cache) {
-    if (const auto cached = store_.lookup(key)) {
-      EnsembleCounts hit;
-      hit.counts = cached->counts;
-      hit.total = cached->total;
-      hit.from_cache = true;
-      return hit;
-    }
-  }
-  return count_fresh(realizations, outcome, use_cache ? key : std::string());
+std::optional<EnsembleReport> EnsembleRunner::cached(const std::string& key) {
+  if (!options_.cache || key.empty()) return std::nullopt;
+  const std::optional<CachedCounts> record = store_.lookup(key);
+  if (!record) return std::nullopt;
+  EnsembleReport hit;
+  hit.counts.counts = record->counts;
+  hit.counts.total = record->total;
+  hit.counts.from_cache = true;
+  hit.attempted = hit.completed = static_cast<std::size_t>(record->total);
+  return hit;
 }
 
-EnsembleCounts EnsembleRunner::count_fresh(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const OutcomeFn& outcome, const std::string& key) {
-  obs::Span span("ensemble.count");
-  obs::ScopedTimer timer(ensemble_metrics().count_us);
-  EnsembleCounts fresh = pool_.map_reduce(
-      realizations.size(), options_.chunk, EnsembleCounts{},
-      [&](std::size_t begin, std::size_t end) {
-        EnsembleCounts partial;
-        for (std::size_t i = begin; i < end; ++i) {
-          const int bucket = outcome(realizations[i]);
-          ++partial.counts[static_cast<std::size_t>(bucket) &
-                           (partial.counts.size() - 1)];
-          ++partial.total;
-        }
-        return partial;
-      },
-      [](EnsembleCounts acc, EnsembleCounts part) {
-        for (std::size_t i = 0; i < acc.counts.size(); ++i) {
-          acc.counts[i] += part.counts[i];
-        }
-        acc.total += part.total;
-        return acc;
-      });
-
-  if (!key.empty()) {
-    CachedCounts record;
-    record.counts = fresh.counts;
-    record.total = fresh.total;
-    store_.store(key, record);
-  }
-  return fresh;
+void EnsembleRunner::store_if_clean(const std::string& key,
+                                    const EnsembleReport& report) {
+  // A stored record asserts "this key's full distribution": a partial one
+  // would poison every warm rerun.
+  if (!options_.cache || key.empty() || report.degraded()) return;
+  CachedCounts record;
+  record.counts = report.counts.counts;
+  record.total = report.counts.total;
+  store_.store(key, record);
 }
 
-std::vector<surge::HurricaneRealization> EnsembleRunner::generate(
-    const surge::RealizationEngine& engine, std::size_t count) {
-  obs::Span span("ensemble.generate");
-  obs::ScopedTimer timer(ensemble_metrics().generate_us);
-  std::vector<surge::HurricaneRealization> out(count);
-  // Generation chunks are larger than analysis chunks: one realization is
-  // the expensive unit (storm + surge solve), so 1-4 per task suffices.
-  const std::size_t chunk =
-      std::max<std::size_t>(1, options_.chunk / 8);
-  pool_.parallel_for_ranges(count, chunk,
-                            [&](std::size_t begin, std::size_t end) {
-                              for (std::size_t i = begin; i < end; ++i) {
-                                out[i] = engine.run(
-                                    static_cast<std::uint64_t>(i));
-                              }
-                            });
-  return out;
+surge::HurricaneRealization EnsembleRunner::realize(
+    const surge::RealizationEngine& engine, std::uint64_t index,
+    unsigned attempt, const CancellationToken& token) const {
+  const std::uint64_t seed = engine.config().base_seed;
+  if (fault_.throw_rule.fires(index, attempt)) {
+    throw util::Error(util::ErrorCode::kFaultInjected, "fault-injection",
+                      "injected realization failure", index, seed);
+  }
+  if (fault_.delay_rule.fires(index, attempt)) {
+    cooperative_delay(fault_.delay, token);
+  }
+  surge::HurricaneRealization r = engine.run(index);
+  if (fault_.nan_rule.fires(index, attempt)) {
+    // Poison the surge output, then run the SAME guard production data
+    // passes through — the injection proves the guard trips.
+    r.max_shoreline_wse_m = std::numeric_limits<double>::quiet_NaN();
+    surge::validate_realization(r, seed);
+  }
+  token.poll("ensemble-generate");
+  return r;
 }
 
 GeneratedBatch EnsembleRunner::generate_guarded(
@@ -307,39 +279,18 @@ GeneratedBatch EnsembleRunner::generate_guarded(
   obs::ScopedTimer timer(ensemble_metrics().generate_us);
   GeneratedBatch batch;
   batch.attempted = count;
-  const std::uint64_t seed = engine.config().base_seed;
-
-  // Same chunking as generate(): one realization is the expensive unit.
-  const std::size_t chunk = std::max<std::size_t>(1, options_.chunk / 8);
-  TaskOptions task_options;
-  task_options.timeout = options_.task_timeout;
-  task_options.max_retries = options_.max_retries;
 
   std::vector<surge::HurricaneRealization> slots(count);
   IsolatedRunResult run = pool_.for_each_isolated(
-      count, chunk,
+      count, generation_chunk(options_),
       [&](std::size_t i, unsigned attempt, const CancellationToken& token) {
-        const auto index = static_cast<std::uint64_t>(i);
-        if (fault_.throw_rule.fires(index, attempt)) {
-          throw util::Error(util::ErrorCode::kFaultInjected, "fault-injection",
-                            "injected realization failure", index, seed);
-        }
-        if (fault_.delay_rule.fires(index, attempt)) {
-          cooperative_delay(fault_.delay, token);
-        }
-        surge::HurricaneRealization r = engine.run(index);
-        if (fault_.nan_rule.fires(index, attempt)) {
-          // Poison the surge output, then run the SAME guard production
-          // data passes through — the injection proves the guard trips.
-          r.max_shoreline_wse_m = std::numeric_limits<double>::quiet_NaN();
-          surge::validate_realization(r, seed);
-        }
-        token.poll("ensemble-generate");
-        slots[i] = std::move(r);
+        slots[i] = realize(engine, static_cast<std::uint64_t>(i), attempt,
+                           token);
       },
-      task_options);
+      task_options());
 
   fold_guard_result(run);
+  const std::uint64_t seed = engine.config().base_seed;
   batch.ledger.retries = run.retries;
   std::vector<bool> quarantined(count, false);
   batch.ledger.failures.reserve(run.failures.size());
@@ -356,36 +307,13 @@ GeneratedBatch EnsembleRunner::generate_guarded(
 }
 
 EnsembleReport EnsembleRunner::count_outcomes_guarded(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const OutcomeFn& outcome, const std::string& key) {
-  return count_outcomes_guarded(
-      [&realizations]() {
-        return BatchView{&realizations, nullptr, realizations.size()};
-      },
-      outcome, key);
-}
-
-EnsembleReport EnsembleRunner::count_outcomes_guarded(
     const BatchFn& batch_fn, const OutcomeFn& outcome,
     const std::string& key) {
-  const bool use_cache = options_.cache && !key.empty();
-  if (use_cache) {
-    if (const auto cached = store_.lookup(key)) {
-      EnsembleReport hit;
-      hit.counts.counts = cached->counts;
-      hit.counts.total = cached->total;
-      hit.counts.from_cache = true;
-      // Only fully clean runs are ever stored, so a hit means every
-      // realization completed.
-      hit.attempted = hit.completed = cached->total;
-      return hit;
-    }
-  }
+  if (std::optional<EnsembleReport> hit = cached(key)) return std::move(*hit);
   const BatchView view = batch_fn();
   return count_guarded_fresh(*view.realizations,
                              view.ledger ? *view.ledger : FailureLedger{},
-                             view.attempted, outcome,
-                             use_cache ? key : std::string());
+                             view.attempted, outcome, key);
 }
 
 EnsembleReport EnsembleRunner::count_guarded_fresh(
@@ -394,20 +322,17 @@ EnsembleReport EnsembleRunner::count_guarded_fresh(
     const std::string& key) {
   obs::Span span("ensemble.count");
   obs::ScopedTimer timer(ensemble_metrics().count_us);
-  // Per-index bucket slots instead of map_reduce partials: a throwing
-  // classifier must quarantine ONE slot, and the serial ascending fold
-  // below keeps the histogram bit-identical at any jobs value.
+  // Per-index bucket slots: a throwing classifier must quarantine ONE
+  // slot, and the serial ascending fold below keeps the histogram
+  // bit-identical at any jobs value.
   std::vector<std::int8_t> buckets(realizations.size(), 0);
-  TaskOptions task_options;
-  task_options.timeout = options_.task_timeout;
-  task_options.max_retries = options_.max_retries;
   IsolatedRunResult run = pool_.for_each_isolated(
       realizations.size(), options_.chunk,
       [&](std::size_t i, unsigned /*attempt*/, const CancellationToken& token) {
         token.poll("ensemble-count");
         buckets[i] = static_cast<std::int8_t>(outcome(realizations[i]));
       },
-      task_options);
+      task_options());
   fold_guard_result(run);
 
   EnsembleReport report;
@@ -433,15 +358,7 @@ EnsembleReport EnsembleRunner::count_guarded_fresh(
     ++report.counts.total;
   }
   report.completed = report.attempted - report.failures.size();
-
-  // Cache only a fully clean run: a stored record asserts "this key's full
-  // distribution", and a partial one would poison every warm rerun.
-  if (!key.empty() && report.failures.empty()) {
-    CachedCounts record;
-    record.counts = report.counts.counts;
-    record.total = report.counts.total;
-    store_.store(key, record);
-  }
+  store_if_clean(key, report);
   return report;
 }
 
@@ -450,8 +367,23 @@ ResumableReport EnsembleRunner::run_resumable(
     const MultiOutcomeFn& outcome, const CheckpointOptions& ckpt,
     CancellationToken* interrupt) {
   ResumableReport report;
-  const std::size_t nseries = spec.series.size();
-  report.series.assign(nseries, EnsembleReport{});
+  report.series.assign(spec.series.size(), EnsembleReport{});
+
+  // Cache pass: a series whose full distribution is already stored needs
+  // no realizations at all. Only the remaining LIVE series join the sweep,
+  // and the journal is keyed by them, so a checkpoint taken with a
+  // different set of outstanding series can never resume.
+  std::vector<std::size_t> live;  // spec.series index per live series
+  SweepSpec live_spec{spec.digest, spec.count, {}};
+  for (std::size_t s = 0; s < spec.series.size(); ++s) {
+    if (std::optional<EnsembleReport> hit = cached(spec.series[s])) {
+      report.series[s] = std::move(*hit);
+      continue;
+    }
+    live.push_back(s);
+    live_spec.series.push_back(spec.series[s]);
+  }
+  const std::size_t nseries = live.size();
   if (nseries == 0) return report;
 
   SweepProgress progress;
@@ -462,7 +394,7 @@ ResumableReport EnsembleRunner::run_resumable(
   std::optional<SweepJournal> journal;
   bool journal_on = false;
   if (!ckpt.dir.empty()) {
-    journal.emplace(ckpt, spec);
+    journal.emplace(ckpt, live_spec);
     if (ckpt.resume) report.resume = journal->load(progress);
     const bool cold = report.resume.status != ResumeStatus::kResumed;
     journal_on = journal->begin(progress, cold);
@@ -472,12 +404,6 @@ ResumableReport EnsembleRunner::run_resumable(
   const std::uint64_t seed = engine.config().base_seed;
   const std::uint64_t interval =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(ckpt.interval));
-  // Same chunking as generate_guarded: one realization is the expensive
-  // unit (storm + surge solve).
-  const std::size_t chunk = std::max<std::size_t>(1, options_.chunk / 8);
-  TaskOptions task_options;
-  task_options.timeout = options_.task_timeout;
-  task_options.max_retries = options_.max_retries;
 
   // Walk the MISSING set in ascending slices of `interval` realizations.
   // Each slice is generated + classified in parallel, folded in ascending
@@ -498,36 +424,19 @@ ResumableReport EnsembleRunner::run_resumable(
       obs::ScopedTimer slice_timer(ensemble_metrics().slice_us);
       std::vector<std::int8_t> buckets(n * nseries, 0);
       IsolatedRunResult run = pool_.for_each_isolated(
-          n, chunk,
+          n, generation_chunk(options_),
           [&](std::size_t k, unsigned attempt,
               const CancellationToken& token) {
-            const std::uint64_t index = b + k;
-            // Identical injection surface to generate_guarded: the
-            // resumable path must quarantine the SAME indices CT_FAULT
-            // quarantines in a plain guarded run.
-            if (fault_.throw_rule.fires(index, attempt)) {
-              throw util::Error(util::ErrorCode::kFaultInjected,
-                                "fault-injection",
-                                "injected realization failure", index, seed);
-            }
-            if (fault_.delay_rule.fires(index, attempt)) {
-              cooperative_delay(fault_.delay, token);
-            }
-            surge::HurricaneRealization r = engine.run(index);
-            if (fault_.nan_rule.fires(index, attempt)) {
-              r.max_shoreline_wse_m =
-                  std::numeric_limits<double>::quiet_NaN();
-              surge::validate_realization(r, seed);
-            }
-            token.poll("ensemble-resumable");
+            const surge::HurricaneRealization r =
+                realize(engine, b + k, attempt, token);
             // One generation, K classifications: a quarantined index is
             // quarantined in every series.
             for (std::size_t s = 0; s < nseries; ++s) {
               buckets[k * nseries + s] =
-                  static_cast<std::int8_t>(outcome(s, r));
+                  static_cast<std::int8_t>(outcome(live[s], r));
             }
           },
-          task_options);
+          task_options());
       fold_guard_result(run);
 
       std::vector<bool> failed(n, false);
@@ -598,7 +507,7 @@ ResumableReport EnsembleRunner::run_resumable(
             });
   const std::uint64_t attempted = progress.completed();
   for (std::size_t s = 0; s < nseries; ++s) {
-    EnsembleReport& r = report.series[s];
+    EnsembleReport& r = report.series[live[s]];
     r.counts.counts = progress.series[s];
     r.counts.total = 0;
     for (const std::uint64_t c : progress.series[s]) r.counts.total += c;
@@ -606,6 +515,8 @@ ResumableReport EnsembleRunner::run_resumable(
     r.retries = progress.retries;
     r.attempted = static_cast<std::size_t>(attempted);
     r.completed = static_cast<std::size_t>(attempted) - progress.failures.size();
+    // An interrupted series is partial even when nothing was quarantined.
+    if (!report.interrupted) store_if_clean(spec.series[live[s]], r);
   }
   return report;
 }

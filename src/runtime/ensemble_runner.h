@@ -3,35 +3,37 @@
 // core/restoration, core/chaos, the figure benches, ctctl).
 //
 // It combines the work-stealing TaskPool with the content-addressed
-// ResultStore:
+// ResultStore, and offers one guarded path per input shape:
 //
-//  * realization generation is sharded across workers (realization i is a
-//    pure function of (base_seed, i), so scheduling cannot change results);
-//  * outcome counting shards the realization range into fixed chunks and
-//    merges per-chunk histograms in ascending chunk order — bit-identical
-//    to the serial loop at any --jobs value;
-//  * a (topology, configuration, scenario, realization set, attacker)
-//    digest addresses the result cache, so repeated sweeps over the same
-//    inputs — warm `ctctl analyze` reruns, the fig6–fig11 benches sharing
-//    one hurricane ensemble — skip the recomputation entirely.
+//  * the fused stream, run_resumable: each realization is generated once
+//    and classified into every series of a sweep matrix, with an optional
+//    checkpoint journal (ctctl analyze, the server's analyze);
+//  * the materialized batch, generate_guarded + count_outcomes_guarded:
+//    the survivors stay in memory for callers that read the batch itself
+//    (downtime, siting, the flood-probability helpers, the figure benches).
+//
+// Both shapes run each realization inside TaskPool::for_each_isolated
+// through one per-index body (realize). A failing realization is retried
+// deterministically with the SAME seed (realization i is a pure function of
+// (base_seed, i), so a retry either heals a transient fault or reproduces a
+// deterministic one), then quarantined into a FailureRecord. Outcomes land
+// in per-index bucket slots folded in ascending index order, so the partial
+// distribution is bit-identical at any --jobs value, and EnsembleReport
+// bounds how much probability mass the quarantined samples could move
+// (Clopper-Pearson). A (topology, configuration, scenario, realization set,
+// attacker) digest addresses the result cache, so repeated sweeps over the
+// same inputs skip the recomputation entirely.
 //
 // Layering: runtime sits BELOW core (it sees configurations, scenarios and
 // realizations, but not the analysis pipeline); core passes the per-
 // realization outcome as a callable. This keeps the dependency graph
 // acyclic while letting every core module share one pool and one cache.
-// Fault isolation (PR 6): the *_guarded entry points run each realization
-// inside TaskPool::for_each_isolated — a failing realization is retried
-// deterministically with the SAME seed (realization i is a pure function of
-// (base_seed, i), so a retry either heals a transient fault or reproduces a
-// deterministic one), then quarantined into a FailureRecord. The surviving
-// samples still produce the partial distribution, bit-identical at any
-// --jobs value, and EnsembleReport bounds how much probability mass the
-// quarantined samples could move (Clopper-Pearson).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,7 +60,6 @@ struct EnsembleOptions {
   /// On-disk result cache (under cache_dir / CT_CACHE_DIR / ~/.cache/ct).
   bool disk_cache = false;
   std::string cache_dir;
-  std::size_t memory_entries = 4096;
   /// Retries of a failed realization (same seed) before quarantine.
   unsigned max_retries = 2;
   /// Cooperative per-attempt watchdog deadline; 0 = no watchdog.
@@ -160,56 +161,25 @@ class EnsembleRunner {
   /// (configurations x scenarios) sweep matrix share one ensemble pass.
   using MultiOutcomeFn =
       std::function<int(std::size_t series, const surge::HurricaneRealization&)>;
-  /// Lazily materializes a realization set (only called on a cache miss).
-  using RealizationsFn =
-      std::function<const std::vector<surge::HurricaneRealization>&()>;
   /// Lazily materializes a guarded batch view (survivors + failure
   /// ledger); only called on a cache miss.
   using BatchFn = std::function<BatchView()>;
-
-  /// Counts outcomes over `realizations`, parallel + cached. `key` is the
-  /// content address from job_key(); pass "" to bypass the cache (the
-  /// computation is then unconditionally fresh).
-  EnsembleCounts count_outcomes(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      const OutcomeFn& outcome, const std::string& key);
-
-  /// Lazy variant: a cache hit never calls `realizations` at all — a warm
-  /// rerun skips ensemble generation, not just the analysis.
-  EnsembleCounts count_outcomes(const RealizationsFn& realizations,
-                                const OutcomeFn& outcome,
-                                const std::string& key);
-
-  /// Runs realizations [0, count) across the pool; bit-identical to the
-  /// engine's serial run_batch at any jobs value. Batch-fatal: the first
-  /// realization failure aborts the whole call (use generate_guarded for
-  /// quarantine semantics).
-  std::vector<surge::HurricaneRealization> generate(
-      const surge::RealizationEngine& engine, std::size_t count);
-
-  // --- fault-isolated entry points ----------------------------------------
 
   /// Fault-isolated generation: each realization runs under per-task
   /// exception capture with the options' watchdog/retry policy, the active
   /// fault profile injected around the engine call. Survivors come back in
   /// ascending index order, so with an empty ledger the batch is
-  /// bit-identical to generate().
+  /// bit-identical to the engine's serial run_batch.
   GeneratedBatch generate_guarded(const surge::RealizationEngine& engine,
                                   std::size_t count);
 
-  /// Guarded counting over an already-materialized realization set. Each
-  /// outcome evaluation is isolated (a throwing classifier quarantines one
-  /// sample, not the sweep); the fold over per-index buckets runs in
-  /// ascending index order, bit-identical at any jobs value. Results are
-  /// cached under `key` ONLY when nothing failed — a partial distribution
-  /// must never masquerade as the full one on the next warm run.
-  EnsembleReport count_outcomes_guarded(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      const OutcomeFn& outcome, const std::string& key);
-
-  /// Lazy guarded variant: a cache hit never materializes the batch; a
-  /// miss materializes it (typically via generate_guarded) and merges its
-  /// ledger into the report.
+  /// Guarded counting over a materialized batch. A cache hit under `key`
+  /// never calls `batch_fn`; a miss materializes the batch (typically via
+  /// generate_guarded) and merges its ledger into the report. Each outcome
+  /// evaluation is isolated (a throwing classifier quarantines one sample,
+  /// not the sweep); the fold over per-index buckets runs in ascending
+  /// index order, bit-identical at any jobs value. `key` is a content
+  /// address from job_key(); "" bypasses the cache.
   EnsembleReport count_outcomes_guarded(const BatchFn& batch_fn,
                                         const OutcomeFn& outcome,
                                         const std::string& key);
@@ -220,12 +190,15 @@ class EnsembleRunner {
   /// With ckpt.resume set, prior journal/snapshot state is validated and
   /// replayed first and only the MISSING indices run; the merged result is
   /// bit-identical at any --jobs value to an uninterrupted run. Fault
-  /// semantics match the guarded entry points (same CT_FAULT injection,
+  /// semantics match generate_guarded (the same per-index body and the
   /// same retry-then-quarantine policy; a quarantined index is quarantined
   /// in ALL series). `interrupt` (optional) stops the sweep at the next
   /// slice boundary after a final checkpoint flush — the SIGINT/SIGTERM
   /// path; the report then has interrupted=true and partial counts. An
-  /// empty ckpt.dir degrades to a plain non-durable sweep.
+  /// empty ckpt.dir degrades to a plain non-durable sweep. Each
+  /// spec.series entry is also that series' result-cache key ("" bypasses
+  /// the cache): a cached series is served whole and never joins the
+  /// sweep, and a series is stored only when the sweep completed it clean.
   ResumableReport run_resumable(const surge::RealizationEngine& engine,
                                 const SweepSpec& spec,
                                 const MultiOutcomeFn& outcome,
@@ -261,15 +234,24 @@ class EnsembleRunner {
                                          std::size_t count);
 
   TaskPool& pool() noexcept { return pool_; }
-  ResultStore& store() noexcept { return store_; }
   const EnsembleOptions& options() const noexcept { return options_; }
   ResultStore::Stats cache_stats() const { return store_.stats(); }
 
  private:
-  /// Parallel recount; stores under `key` unless it is empty.
-  EnsembleCounts count_fresh(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      const OutcomeFn& outcome, const std::string& key);
+  /// The per-index generation body shared by generate_guarded and
+  /// run_resumable: the throw and delay rules, engine.run, the NaN rule,
+  /// then the watchdog poll. One body is what makes both shapes
+  /// quarantine the same indices under the same CT_FAULT profile.
+  surge::HurricaneRealization realize(const surge::RealizationEngine& engine,
+                                      std::uint64_t index, unsigned attempt,
+                                      const CancellationToken& token) const;
+  TaskOptions task_options() const noexcept;
+
+  // The result-cache policy, in one place: only complete, clean runs are
+  // stored, so a hit is reported as a complete, clean run.
+  std::optional<EnsembleReport> cached(const std::string& key);
+  void store_if_clean(const std::string& key, const EnsembleReport& report);
+
   /// Guarded recount over survivors; merges `generation` accounting into
   /// the report and stores under `key` only on a fully clean run.
   EnsembleReport count_guarded_fresh(

@@ -9,10 +9,12 @@
 // nested parallel_for calls deadlock-free.
 //
 // Determinism contract: parallel_for_ranges partitions [0, n) into fixed
-// chunks independent of the thread count, and map_reduce folds the chunk
-// results in ascending chunk order on the calling thread. A pool with
-// `threads <= 1` executes everything inline in submission order — the
-// serial path is not an approximation, it is literally the same code.
+// chunks independent of the thread count, and for_each_isolated returns its
+// failure ledger sorted by index. Callers that fold results write them into
+// per-index slots and fold those in ascending index order on the calling
+// thread, so no result depends on scheduling. A pool with `threads <= 1`
+// executes everything inline in submission order — the serial path is not
+// an approximation, it is literally the same code.
 #pragma once
 
 #include <atomic>
@@ -129,25 +131,6 @@ class TaskPool {
       const std::function<void(std::size_t, unsigned,
                                const CancellationToken&)>& fn,
       const TaskOptions& options = {});
-
-  /// Maps fixed chunks of [0, n) to partial results, then reduces them in
-  /// ascending chunk order on the calling thread — the reduction order (and
-  /// therefore any floating-point result) is identical at every thread
-  /// count, including the inline pool.
-  template <typename T, typename Map, typename Reduce>
-  T map_reduce(std::size_t n, std::size_t chunk, T init, Map&& map,
-               Reduce&& reduce) {
-    if (chunk == 0) chunk = 1;
-    const std::size_t chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-    std::vector<T> partials(chunks);
-    parallel_for_ranges(n, chunk,
-                        [&](std::size_t begin, std::size_t end) {
-                          partials[begin / chunk] = map(begin, end);
-                        });
-    T acc = std::move(init);
-    for (T& p : partials) acc = reduce(std::move(acc), std::move(p));
-    return acc;
-  }
 
   /// Per-worker deque capacity; past it, submit executes inline (backpressure).
   static constexpr std::size_t kDequeCapacity = 1024;

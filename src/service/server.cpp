@@ -548,15 +548,19 @@ void Server::run_job(Job job) {
   response.quarantined = outcome.quarantined;
   response.retries = outcome.retries;
   response.output = std::move(outcome.output);
+
+  // Account before sending: a client that reads stats() right after its
+  // response arrives must already see this request as completed.
+  const std::uint64_t latency = elapsed_ms(job.admitted_at);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.completed;
+    stats_.total_latency_ms += latency;
+    if (latency > stats_.max_latency_ms) stats_.max_latency_ms = latency;
+    stats_.quarantined += outcome.quarantined;
+  }
   session->send_frame(FrameType::kResponse, job.request_id,
                       encode_response(response));
-
-  const std::uint64_t latency = elapsed_ms(job.admitted_at);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.completed;
-  stats_.total_latency_ms += latency;
-  if (latency > stats_.max_latency_ms) stats_.max_latency_ms = latency;
-  stats_.quarantined += outcome.quarantined;
 }
 
 std::string Server::render_stats(bool json) const {

@@ -1,10 +1,8 @@
 #include "surge/realization.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 #include "util/error.h"
 #include "util/log.h"
@@ -166,8 +164,8 @@ void RealizationEngine::apply_wind_fragility(const storm::StormTrack& track,
 }
 
 HurricaneRealization RealizationEngine::run(std::uint64_t index) const {
-  // One scratch per worker thread: TaskPool workers, run_batch_parallel
-  // threads, and the caller's own thread each reuse their own buffers.
+  // One scratch per thread: TaskPool workers and the caller's own thread
+  // each reuse their own buffers.
   thread_local RealizationScratch scratch;
   return run(index, scratch);
 }
@@ -249,29 +247,6 @@ std::vector<HurricaneRealization> RealizationEngine::run_batch(
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back(run(static_cast<std::uint64_t>(i)));
   }
-  return out;
-}
-
-std::vector<HurricaneRealization> RealizationEngine::run_batch_parallel(
-    std::size_t count, unsigned threads) const {
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads <= 1 || count < 2) return run_batch(count);
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(count));
-
-  std::vector<HurricaneRealization> out(count);
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    RealizationScratch scratch;
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      out[i] = run(static_cast<std::uint64_t>(i), scratch);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
   return out;
 }
 

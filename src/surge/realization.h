@@ -124,14 +124,9 @@ class RealizationEngine {
   /// for apples-to-apples benchmarking.
   HurricaneRealization run_reference(std::uint64_t index) const;
 
-  /// Runs realizations [0, count) serially.
+  /// Runs realizations [0, count) serially: the reference the parallel
+  /// runtime (runtime::EnsembleRunner) is checked against.
   std::vector<HurricaneRealization> run_batch(std::size_t count) const;
-
-  /// Runs realizations [0, count) across `threads` worker threads
-  /// (0 = hardware concurrency). Bit-identical to run_batch: realization i
-  /// is a pure function of (seed, i), so scheduling cannot change results.
-  std::vector<HurricaneRealization> run_batch_parallel(
-      std::size_t count, unsigned threads = 0) const;
 
   const std::vector<ExposedAsset>& assets() const noexcept { return assets_; }
   const mesh::CoastalMesh& coastal_mesh() const noexcept { return cm_; }

@@ -6,6 +6,7 @@
 
 #include "core/chaos.h"
 #include "core/evaluator.h"
+#include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
 #include "sim/fault_injector.h"
 #include "threat/scenario.h"
@@ -23,9 +24,19 @@ ChaosOptions small_sweep_options() {
   return options;
 }
 
+/// Sweeps on an inline (jobs=1) runtime: plans run in order on this thread.
+ChaosReport serial_sweep(const ChaosRunner& runner,
+                         const scada::Configuration& config) {
+  runtime::EnsembleOptions options;
+  options.jobs = 1;
+  runtime::EnsembleRunner runtime(options);
+  return runner.sweep(config, runtime);
+}
+
 TEST(Chaos, BenignSweepIsCleanOnPrimaryBackup) {
   const ChaosRunner runner(small_sweep_options());
-  const ChaosReport report = runner.sweep(scada::make_config_2_2("p", "b"));
+  const ChaosReport report =
+      serial_sweep(runner, scada::make_config_2_2("p", "b"));
   EXPECT_EQ(report.plans_run, 5);
   EXPECT_EQ(report.runs, 5 * 4);  // plans x scenarios
   EXPECT_TRUE(report.ok()) << report.findings.size() << " finding(s), first: "
@@ -36,7 +47,7 @@ TEST(Chaos, BenignSweepIsCleanOnPrimaryBackup) {
 
 TEST(Chaos, BenignSweepIsCleanOnBft) {
   const ChaosRunner runner(small_sweep_options());
-  const ChaosReport report = runner.sweep(scada::make_config_6("p"));
+  const ChaosReport report = serial_sweep(runner, scada::make_config_6("p"));
   EXPECT_TRUE(report.ok()) << report.findings.size() << " finding(s), first: "
                            << report.findings.front().replay_schedule;
   EXPECT_EQ(report.runs, 5 * 4);
@@ -46,7 +57,7 @@ TEST(Chaos, RestartHeavySweepIsCleanAndExercisesRejoins) {
   ChaosOptions options = small_sweep_options();
   options.plan_style = ChaosOptions::PlanStyle::kRestartHeavy;
   const ChaosRunner runner(options);
-  const ChaosReport report = runner.sweep(scada::make_config_6("p"));
+  const ChaosReport report = serial_sweep(runner, scada::make_config_6("p"));
   EXPECT_TRUE(report.ok()) << report.findings.size() << " finding(s), first: "
                            << report.findings.front().replay_schedule;
   EXPECT_EQ(report.runs, 5 * 4);
@@ -58,7 +69,8 @@ TEST(Chaos, RestartHeavySweepIsCleanOnPrimaryBackup) {
   ChaosOptions options = small_sweep_options();
   options.plan_style = ChaosOptions::PlanStyle::kRestartHeavy;
   const ChaosRunner runner(options);
-  const ChaosReport report = runner.sweep(scada::make_config_2_2("p", "b"));
+  const ChaosReport report =
+      serial_sweep(runner, scada::make_config_2_2("p", "b"));
   EXPECT_TRUE(report.ok()) << report.findings.size() << " finding(s), first: "
                            << report.findings.front().replay_schedule;
 }

@@ -448,12 +448,12 @@ TEST(RunResumableTest, ColdRunMatchesGuardedCountsAtAnyJobs) {
   const surge::RealizationEngine engine = make_engine();
   // Reference: the existing guarded path, one series at a time.
   runtime::EnsembleRunner reference_runner(make_options(1));
-  const std::vector<surge::HurricaneRealization> batch =
-      reference_runner.generate(engine, kSweepCount);
+  const runtime::GeneratedBatch batch =
+      reference_runner.generate_guarded(engine, kSweepCount);
   std::vector<runtime::EnsembleReport> reference;
   for (std::size_t s = 0; s < 2; ++s) {
     reference.push_back(reference_runner.count_outcomes_guarded(
-        batch,
+        [&] { return batch.view(); },
         [s](const surge::HurricaneRealization& r) { return classify(s, r); },
         ""));
   }

@@ -277,20 +277,6 @@ TEST(Pipeline, AnalyzeAggregates) {
   EXPECT_DOUBLE_EQ(result.outcomes.probability(OperationalState::kRed), 0.1);
 }
 
-TEST(Pipeline, AnalyzeAllCoversConfigs) {
-  const AnalysisPipeline pipeline;
-  const auto configs = scada::paper_configurations("hon", "waiau", "dc");
-  const std::vector<surge::HurricaneRealization> batch = {
-      synthetic_realization({})};
-  const auto results =
-      pipeline.analyze_all(configs, ThreatScenario::kHurricane, batch);
-  ASSERT_EQ(results.size(), 5u);
-  for (const auto& r : results) {
-    EXPECT_EQ(r.outcomes.total(), 1u);
-    EXPECT_DOUBLE_EQ(r.outcomes.probability(OperationalState::kGreen), 1.0);
-  }
-}
-
 // ---------------------------------------------------------------- report
 
 TEST(Report, PaperExpectationsExistForAllFigures) {
@@ -474,17 +460,18 @@ TEST(RealizationCsv, TrailingBlankLinesAreNeitherRowsNorSkips) {
   EXPECT_EQ(loaded.realizations.size(), 1u);
 }
 
-TEST(RealizationCsv, AnalyzeCsvCountsSkippedAndClassifiesTheRest) {
+TEST(RealizationCsv, LoadedCsvCountsSkippedAndClassifiesTheRest) {
   const std::string csv =
       "realization,flooded_assets,peak_wind_ms,max_wse_m\n"
       "0,,40.0,1.0\n"           // nothing flooded: green
       "garbage row here\n"      // skipped
       "1,p,45.0,2.0\n";         // primary flooded: red for config "2"
   std::istringstream in(csv);
-  const AnalysisPipeline pipeline;
-  const ScenarioResult result = pipeline.analyze_csv(
-      scada::make_config_2("p"), ThreatScenario::kHurricane, in);
-  EXPECT_EQ(result.skipped_realizations, 1u);
+  const LoadedRealizations loaded = load_realizations_csv(in);
+  EXPECT_EQ(loaded.skipped_rows, 1u);
+  const ScenarioResult result = AnalysisPipeline{}.analyze(
+      scada::make_config_2("p"), ThreatScenario::kHurricane,
+      loaded.realizations);
   EXPECT_EQ(result.outcomes.total(), 2u);
   EXPECT_EQ(result.outcomes.count(OperationalState::kGreen), 1u);
   EXPECT_EQ(result.outcomes.count(OperationalState::kRed), 1u);

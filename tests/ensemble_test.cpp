@@ -1,9 +1,11 @@
 // Determinism and cache-correctness tests for the EnsembleRunner — the
 // acceptance gate of the parallel runtime: at any --jobs value the outcome
-// histograms must be bit-identical to the serial sweep for all five paper
-// configurations x four threat scenarios x multiple seeds, and the cache-
-// hit path must reproduce the cold path exactly (including when the hit
-// comes from disk, across runner instances).
+// histograms of both production shapes (the fused analyze_resumable stream
+// and the materialized CaseStudyRunner batch) must be bit-identical to the
+// serial reference for all five paper configurations x four threat
+// scenarios x multiple seeds, both shapes must share one fault surface, and
+// the cache-hit path must reproduce the cold path exactly (including when
+// the hit comes from disk, across runner instances).
 //
 // CT_TEST_JOBS adds one extra thread count to the matrix (CI runs the
 // suite at 1 and 8).
@@ -71,50 +73,87 @@ void expect_same(const core::ScenarioResult& a, const core::ScenarioResult& b,
   EXPECT_EQ(a.outcomes.total(), b.outcomes.total()) << context;
 }
 
-/// The full paper matrix: 5 configurations x 4 scenarios x 3 seeds, every
-/// parallel jobs value against the serial reference.
+std::string cell_label(const core::SweepCell& cell) {
+  return cell.config->name + " / " +
+         std::string(threat::scenario_name(cell.scenario));
+}
+
+/// The full paper matrix: 5 configurations x 4 scenarios x 3 seeds, at
+/// jobs {1, 2, 4, 8, CT_TEST_JOBS}, through the two paths production runs —
+/// the fused analyze_resumable stream (`ctctl analyze`, checkpointing off)
+/// and CaseStudyRunner::run over the guarded batch — against the serial
+/// AnalysisPipeline::analyze over the engine's serial run_batch.
 TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
   const core::AnalysisPipeline pipeline;
+  std::vector<core::SweepCell> cells;
+  for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
+    for (const auto& config : configs) {
+      cells.push_back(core::SweepCell{&config, scenario});
+    }
+  }
+  std::vector<unsigned> jobs_matrix = job_counts();
+  jobs_matrix.insert(jobs_matrix.begin(), 1u);
 
   for (const std::uint64_t seed : kSeeds) {
     const surge::RealizationEngine engine = make_engine(seed);
-
-    // Serial reference: inline pool, realizations generated one by one.
-    runtime::EnsembleRunner serial(make_options(1));
     const std::vector<surge::HurricaneRealization> reference =
-        serial.generate(engine, kRealizations);
+        engine.run_batch(kRealizations);
+    std::vector<core::ScenarioResult> want;
+    for (const core::SweepCell& cell : cells) {
+      want.push_back(pipeline.analyze(*cell.config, cell.scenario, reference));
+    }
+    const std::string digest =
+        runtime::EnsembleRunner::digest_engine_batch(engine, kRealizations);
 
-    for (const unsigned jobs : job_counts()) {
-      runtime::EnsembleRunner parallel(make_options(jobs));
+    for (const unsigned jobs : jobs_matrix) {
+      const std::string at =
+          " / seed " + std::to_string(seed) + " / jobs " + std::to_string(jobs);
 
-      // Generation itself must be schedule-independent.
-      const std::vector<surge::HurricaneRealization> generated =
-          parallel.generate(engine, kRealizations);
-      ASSERT_EQ(generated.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(generated[i].index, reference[i].index);
-        EXPECT_EQ(generated[i].peak_wind_ms, reference[i].peak_wind_ms);
-        EXPECT_EQ(generated[i].max_shoreline_wse_m,
-                  reference[i].max_shoreline_wse_m);
-      }
+      runtime::EnsembleRunner runner(make_options(jobs));
+      const core::ResumableAnalysis fused = pipeline.analyze_resumable(
+          cells, engine, kRealizations, runner, digest,
+          runtime::CheckpointOptions{});
+      ASSERT_EQ(fused.results.size(), cells.size());
+      EXPECT_EQ(fused.executed, kRealizations) << at;
 
-      for (const auto& config : configs) {
-        for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-          const core::ScenarioResult want =
-              pipeline.analyze(config, scenario, reference);
-          const core::ScenarioResult got =
-              pipeline.analyze(config, scenario, reference, parallel);
-          expect_same(want, got,
-                      config.name + " / " +
-                          std::string(threat::scenario_name(scenario)) +
-                          " / seed " + std::to_string(seed) + " / jobs " +
-                          std::to_string(jobs));
-        }
+      core::CaseStudyOptions options;
+      options.realizations = kRealizations;
+      options.realization.base_seed = seed;
+      options.runtime = make_options(jobs);
+      core::CaseStudyRunner study = core::make_oahu_case_study(options);
+
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::string context = cell_label(cells[i]) + at;
+        expect_same(want[i], fused.results[i], "analyze_resumable " + context);
+        expect_same(want[i], study.run(*cells[i].config, cells[i].scenario),
+                    "CaseStudyRunner::run " + context);
       }
     }
+  }
+}
+
+/// generate_guarded at the edges of the chunking: an empty range, one
+/// realization on an oversubscribed pool, and a short serial batch equal
+/// to the engine's own serial loop.
+TEST(EnsembleDeterminismTest, GenerateGuardedDegenerateCounts) {
+  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
+  runtime::EnsembleRunner wide(make_options(8));
+  const runtime::GeneratedBatch empty = wide.generate_guarded(engine, 0);
+  EXPECT_TRUE(empty.realizations.empty());
+  EXPECT_TRUE(empty.complete());
+  EXPECT_EQ(wide.generate_guarded(engine, 1).realizations.size(), 1u);
+
+  runtime::EnsembleRunner serial(make_options(1));
+  const runtime::GeneratedBatch three = serial.generate_guarded(engine, 3);
+  const std::vector<surge::HurricaneRealization> want = engine.run_batch(3);
+  ASSERT_EQ(three.realizations.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(three.realizations[i].index, want[i].index);
+    EXPECT_EQ(three.realizations[i].max_shoreline_wse_m,
+              want[i].max_shoreline_wse_m);
   }
 }
 
@@ -127,15 +166,18 @@ TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
 
   runtime::EnsembleRunner runner(make_options(4, /*cache=*/true));
-  const auto rels = runner.generate(engine, kRealizations);
-  const std::string digest = runtime::EnsembleRunner::digest_realizations(rels);
+  const runtime::GeneratedBatch batch =
+      runner.generate_guarded(engine, kRealizations);
+  const runtime::EnsembleRunner::BatchFn view = [&] { return batch.view(); };
+  const std::string digest =
+      runtime::EnsembleRunner::digest_realizations(batch.realizations);
 
   for (const auto& config : configs) {
     for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
       const core::ScenarioResult cold =
-          pipeline.analyze(config, scenario, rels, runner, digest);
+          pipeline.analyze_lazy(config, scenario, view, runner, digest);
       const core::ScenarioResult warm =
-          pipeline.analyze(config, scenario, rels, runner, digest);
+          pipeline.analyze_lazy(config, scenario, view, runner, digest);
       EXPECT_FALSE(cold.from_cache);
       EXPECT_TRUE(warm.from_cache) << config.name;
       expect_same(cold, warm, config.name);
@@ -149,13 +191,13 @@ TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
 TEST(EnsembleCacheTest, LazyProviderSkippedOnHit) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   runtime::EnsembleRunner runner(make_options(2, /*cache=*/true));
-  const auto rels = runner.generate(engine, kRealizations);
+  const runtime::GeneratedBatch batch =
+      runner.generate_guarded(engine, kRealizations);
 
   int provider_calls = 0;
-  const runtime::EnsembleRunner::RealizationsFn provide =
-      [&]() -> const std::vector<surge::HurricaneRealization>& {
+  const runtime::EnsembleRunner::BatchFn provide = [&] {
     ++provider_calls;
-    return rels;
+    return batch.view();
   };
   const runtime::EnsembleRunner::OutcomeFn outcome =
       [](const surge::HurricaneRealization& r) {
@@ -163,15 +205,15 @@ TEST(EnsembleCacheTest, LazyProviderSkippedOnHit) {
       };
   const std::string key = "ab12cd34ab12cd34ab12cd34ab12cd34";
 
-  const auto cold = runner.count_outcomes(provide, outcome, key);
+  const auto cold = runner.count_outcomes_guarded(provide, outcome, key);
   EXPECT_EQ(provider_calls, 1);
-  EXPECT_FALSE(cold.from_cache);
+  EXPECT_FALSE(cold.counts.from_cache);
 
-  const auto warm = runner.count_outcomes(provide, outcome, key);
+  const auto warm = runner.count_outcomes_guarded(provide, outcome, key);
   EXPECT_EQ(provider_calls, 1) << "hit must not materialize the ensemble";
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(warm.counts, cold.counts);
-  EXPECT_EQ(warm.total, cold.total);
+  EXPECT_TRUE(warm.counts.from_cache);
+  EXPECT_EQ(warm.counts.counts, cold.counts.counts);
+  EXPECT_EQ(warm.counts.total, cold.counts.total);
 }
 
 /// Disk cache: a second runner (fresh memory) in the same cache dir gets
@@ -192,20 +234,28 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
   options.disk_cache = true;
   options.cache_dir = dir.string();
 
+  const std::string digest =
+      runtime::EnsembleRunner::digest_engine_batch(engine, kRealizations);
   core::ScenarioResult cold;
   {
     runtime::EnsembleRunner writer(options);
-    const auto rels = writer.generate(engine, kRealizations);
-    cold = pipeline.analyze(configs[0], scenario, rels, writer,
-                            runtime::EnsembleRunner::digest_realizations(rels));
+    const runtime::GeneratedBatch batch =
+        writer.generate_guarded(engine, kRealizations);
+    cold = pipeline.analyze_lazy(
+        configs[0], scenario, [&] { return batch.view(); }, writer, digest);
     EXPECT_FALSE(cold.from_cache);
   }
 
+  // The reader never generates: a hit must not call the batch producer.
   runtime::EnsembleRunner reader(options);
-  const auto rels = reader.generate(engine, kRealizations);
-  const core::ScenarioResult warm =
-      pipeline.analyze(configs[0], scenario, rels, reader,
-                       runtime::EnsembleRunner::digest_realizations(rels));
+  const std::vector<surge::HurricaneRealization> none;
+  const core::ScenarioResult warm = pipeline.analyze_lazy(
+      configs[0], scenario,
+      [&] {
+        ADD_FAILURE() << "disk hit materialized the batch";
+        return runtime::BatchView{&none, nullptr, 0};
+      },
+      reader, digest);
   EXPECT_TRUE(warm.from_cache);
   expect_same(cold, warm, "disk round-trip");
   EXPECT_EQ(reader.cache_stats().disk_hits, 1u);
@@ -268,6 +318,37 @@ TEST(EnsembleCaseStudyTest, RunnerFacadeDeterministicAndCached) {
   }
 }
 
+/// run() and run_all_resumable() key the result cache identically: a cell
+/// run() computed is served whole by the fused sweep, and the sweep's own
+/// stores serve later run() calls.
+TEST(EnsembleCaseStudyTest, RunAndResumableShareCacheKeys) {
+  const auto configs = scada::paper_configurations(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+      scada::oahu_ids::kDrFortress);
+  const auto scenario = threat::ThreatScenario::kHurricaneIsolation;
+  core::CaseStudyOptions options;
+  options.realizations = 20;
+  options.runtime = make_options(2, /*cache=*/true);
+  core::CaseStudyRunner runner = core::make_oahu_case_study(options);
+
+  const core::ScenarioResult first = runner.run(configs[0], scenario);
+  EXPECT_FALSE(first.from_cache);
+
+  const core::ResumableAnalysis sweep =
+      runner.run_all_resumable(configs, {scenario}, {});
+  ASSERT_EQ(sweep.results.size(), configs.size());
+  EXPECT_EQ(sweep.cached_cells, 1u);
+  EXPECT_TRUE(sweep.results[0].from_cache);
+  expect_same(first, sweep.results[0], "run() -> run_all_resumable");
+  for (std::size_t i = 1; i < configs.size(); ++i) {
+    EXPECT_FALSE(sweep.results[i].from_cache) << configs[i].name;
+  }
+
+  const core::ScenarioResult later = runner.run(configs[4], scenario);
+  EXPECT_TRUE(later.from_cache);
+  expect_same(sweep.results[4], later, "run_all_resumable -> run()");
+}
+
 // --- fault isolation (PR 6) -------------------------------------------------
 
 /// Options for the guarded paths: fault_spec "none" (not "") so a CT_FAULT
@@ -284,31 +365,6 @@ int simple_outcome(const surge::HurricaneRealization& r) {
   return r.impacts.empty() ? 0 : (r.impacts.size() > 2 ? 2 : 1);
 }
 
-TEST(EnsembleGuardedTest, CleanGuardedRunMatchesUnguarded) {
-  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  runtime::EnsembleRunner runner(guarded_options(4, "none", 2));
-  const auto reference = runner.generate(engine, kRealizations);
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
-  EXPECT_TRUE(batch.complete());
-  EXPECT_EQ(batch.attempted, kRealizations);
-  ASSERT_EQ(batch.realizations.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(batch.realizations[i].index, reference[i].index);
-    EXPECT_EQ(batch.realizations[i].max_shoreline_wse_m,
-              reference[i].max_shoreline_wse_m);
-  }
-
-  const runtime::EnsembleCounts plain =
-      runner.count_outcomes(reference, simple_outcome, "");
-  const runtime::EnsembleReport guarded =
-      runner.count_outcomes_guarded(batch.realizations, simple_outcome, "");
-  EXPECT_FALSE(guarded.degraded());
-  EXPECT_EQ(guarded.attempted, guarded.completed);
-  EXPECT_EQ(guarded.counts.counts, plain.counts);
-  EXPECT_EQ(guarded.counts.total, plain.total);
-}
-
 /// The acceptance gate of the quarantine machinery: the ledger AND the
 /// partial distribution must be bit-identical at any --jobs value.
 TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
@@ -319,8 +375,8 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
   const runtime::GeneratedBatch reference =
       serial.generate_guarded(engine, kRealizations);
   const runtime::EnsembleReport reference_report =
-      serial.count_outcomes_guarded(reference.realizations, simple_outcome,
-                                    "");
+      serial.count_outcomes_guarded([&] { return reference.view(); },
+                                    simple_outcome, "");
 
   // Indices 0, 7, 14, 21, 28, 35 quarantine after 1 + 1 attempts.
   ASSERT_EQ(reference.ledger.failures.size(), 6u);
@@ -353,7 +409,7 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
                 reference.ledger.failures[i].attempts);
     }
     const runtime::EnsembleReport report = parallel.count_outcomes_guarded(
-        batch.realizations, simple_outcome, "");
+        [&] { return batch.view(); }, simple_outcome, "");
     EXPECT_EQ(report.counts.counts, reference_report.counts.counts)
         << "jobs " << jobs;
     EXPECT_EQ(report.counts.total, reference_report.counts.total);
@@ -362,8 +418,8 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
 
 TEST(EnsembleGuardedTest, RetryHealsFirstAttemptFault) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  runtime::EnsembleRunner clean(guarded_options(4, "none", 0));
-  const auto reference = clean.generate(engine, kRealizations);
+  const std::vector<surge::HurricaneRealization> reference =
+      engine.run_batch(kRealizations);
 
   // The rule fires only on attempt 1: one retry (same seed) heals every
   // injected failure, so the batch is complete AND bit-identical.
@@ -446,12 +502,14 @@ TEST(EnsembleGuardedTest, PartialResultIsNeverCached) {
   runtime::EnsembleOptions clean_options = guarded_options(2, "none", 0);
   clean_options.cache = true;
   runtime::EnsembleRunner clean(clean_options);
-  const auto rels = clean.generate(engine, kRealizations);
+  const runtime::GeneratedBatch full =
+      clean.generate_guarded(engine, kRealizations);
+  const runtime::EnsembleRunner::BatchFn full_fn = [&] { return full.view(); };
   const runtime::EnsembleReport cold =
-      clean.count_outcomes_guarded(rels, simple_outcome, key);
+      clean.count_outcomes_guarded(full_fn, simple_outcome, key);
   EXPECT_FALSE(cold.counts.from_cache);
   const runtime::EnsembleReport warm =
-      clean.count_outcomes_guarded(rels, simple_outcome, key);
+      clean.count_outcomes_guarded(full_fn, simple_outcome, key);
   EXPECT_TRUE(warm.counts.from_cache);
   EXPECT_EQ(warm.attempted, warm.completed);
   EXPECT_EQ(warm.counts.counts, cold.counts.counts);
@@ -462,9 +520,10 @@ TEST(EnsembleGuardedTest, MassBoundBracketsTrueProbability) {
 
   // Ground truth: the clean full ensemble.
   runtime::EnsembleRunner clean(guarded_options(2, "none", 0));
-  const auto full = clean.generate(engine, kRealizations);
-  const runtime::EnsembleReport truth =
-      clean.count_outcomes_guarded(full, simple_outcome, "");
+  const runtime::GeneratedBatch full =
+      clean.generate_guarded(engine, kRealizations);
+  const runtime::EnsembleReport truth = clean.count_outcomes_guarded(
+      [&] { return full.view(); }, simple_outcome, "");
 
   runtime::EnsembleRunner degraded(guarded_options(2, "throw:every=7", 0));
   const runtime::GeneratedBatch batch =
@@ -494,6 +553,77 @@ TEST(EnsembleGuardedTest, MassBoundBracketsTrueProbability) {
     const double p = static_cast<double>(truth.counts.counts[bucket]) /
                      static_cast<double>(truth.counts.total);
     EXPECT_TRUE(bound.contains(p)) << "bucket " << bucket;
+  }
+}
+
+/// One fault surface, two shapes: under each CT_FAULT profile the fused
+/// run_resumable stream and generate_guarded + count_outcomes_guarded must
+/// quarantine the same indices with the same codes and attempt counts and
+/// leave the same survivor histogram — at jobs 1 and 8.
+TEST(EnsembleGuardedTest, FaultSurfaceIdenticalOnBothShapes) {
+  constexpr std::size_t kCount = 30;
+  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
+  struct Profile {
+    const char* spec;
+    std::size_t quarantined;
+    std::chrono::milliseconds timeout{0};
+  };
+  const Profile profiles[] = {
+      {"throw:every=7", 5},             // 0, 7, 14, 21, 28
+      {"nan:every=25,offset=3", 2},     // 3, 28
+      {"throw:every=5,attempts=1", 0},  // the retry heals every index
+      // 0, 10, 20 stall past the watchdog and time out
+      {"delay:every=10,ms=50", 3, std::chrono::milliseconds(40)},
+  };
+  runtime::SweepSpec spec;
+  spec.digest = "fault-surface";
+  spec.count = kCount;
+  spec.series = {""};  // no cache key: both shapes must compute
+
+  for (const Profile& profile : profiles) {
+    for (const unsigned jobs : {1u, 8u}) {
+      const std::string context =
+          std::string(profile.spec) + " jobs " + std::to_string(jobs);
+      runtime::EnsembleOptions options =
+          guarded_options(jobs, profile.spec, 1);
+      options.task_timeout = profile.timeout;
+
+      runtime::EnsembleRunner batch_runner(options);
+      const runtime::GeneratedBatch batch =
+          batch_runner.generate_guarded(engine, kCount);
+      const runtime::EnsembleReport materialized =
+          batch_runner.count_outcomes_guarded([&] { return batch.view(); },
+                                              simple_outcome, "");
+
+      runtime::EnsembleRunner stream_runner(options);
+      const runtime::ResumableReport stream = stream_runner.run_resumable(
+          engine, spec,
+          [](std::size_t, const surge::HurricaneRealization& r) {
+            return simple_outcome(r);
+          },
+          runtime::CheckpointOptions{});
+      ASSERT_EQ(stream.series.size(), 1u);
+      const runtime::EnsembleReport& fused = stream.series[0];
+
+      ASSERT_EQ(materialized.failures.size(), profile.quarantined) << context;
+      ASSERT_EQ(fused.failures.size(), materialized.failures.size())
+          << context;
+      for (std::size_t i = 0; i < fused.failures.size(); ++i) {
+        EXPECT_EQ(fused.failures[i].realization,
+                  materialized.failures[i].realization)
+            << context;
+        EXPECT_EQ(fused.failures[i].code, materialized.failures[i].code)
+            << context;
+        EXPECT_EQ(fused.failures[i].attempts,
+                  materialized.failures[i].attempts)
+            << context;
+      }
+      EXPECT_EQ(fused.retries, materialized.retries) << context;
+      EXPECT_EQ(fused.attempted, materialized.attempted) << context;
+      EXPECT_EQ(fused.completed, materialized.completed) << context;
+      EXPECT_EQ(fused.counts.counts, materialized.counts.counts) << context;
+      EXPECT_EQ(fused.counts.total, materialized.counts.total) << context;
+    }
   }
 }
 

@@ -136,25 +136,14 @@ TEST(Fastpath, CallerOwnedScratchReuseIsBitStable) {
   }
 }
 
-TEST(Fastpath, ParallelBatchBitIdenticalToReference) {
-  const RealizationEngine engine(oahu(), oahu_assets(), {});
-  const auto parallel = engine.run_batch_parallel(12, 8);
-  ASSERT_EQ(parallel.size(), 12u);
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    expect_bit_identical(parallel[i],
-                         engine.run_reference(static_cast<std::uint64_t>(i)),
-                         "parallel[" + std::to_string(i) + "]");
-  }
-}
-
 // --------------------------------- outcome distributions, 5 configs, jobs
 
 TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
   constexpr std::size_t kCount = 40;
   const RealizationEngine engine(oahu(), oahu_assets(), {});
 
-  // Legacy ensemble via the reference path; fast ensemble via the runner
-  // (which routes through run()).
+  // Legacy ensemble via the reference path; fast ensemble via the runner's
+  // guarded batch (which routes through run() on the pool).
   std::vector<HurricaneRealization> legacy;
   legacy.reserve(kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
@@ -171,9 +160,10 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
     runtime::EnsembleOptions options;
     options.jobs = jobs;
     options.cache = false;
+    options.fault_spec = "none";
     runtime::EnsembleRunner runner(options);
-    const std::vector<HurricaneRealization> fast =
-        runner.generate(engine, kCount);
+    const runtime::GeneratedBatch batch = runner.generate_guarded(engine, kCount);
+    const std::vector<HurricaneRealization>& fast = batch.realizations;
     ASSERT_EQ(fast.size(), legacy.size());
     for (std::size_t i = 0; i < kCount; ++i) {
       expect_bit_identical(fast[i], legacy[i],
@@ -185,8 +175,8 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
       for (const threat::ThreatScenario scenario :
            {threat::ThreatScenario::kHurricane,
             threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
-        const core::ScenarioResult from_fast =
-            pipeline.analyze(config, scenario, fast, runner);
+        const core::ScenarioResult from_fast = pipeline.analyze_lazy(
+            config, scenario, [&] { return batch.view(); }, runner, "");
         const core::ScenarioResult from_legacy =
             pipeline.analyze(config, scenario, legacy);
         ASSERT_EQ(from_fast.outcomes.total(), from_legacy.outcomes.total());
@@ -311,9 +301,11 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     const RealizationEngine engine(oahu(), oahu_assets(), {});
     runtime::EnsembleRunner runner(options);
     first_key = runtime::EnsembleRunner::digest_engine_batch(engine, 8);
-    const auto counts = runner.count_outcomes(
-        engine.run_batch(8), outcome, first_key);
-    EXPECT_FALSE(counts.from_cache);
+    const std::vector<HurricaneRealization> batch = engine.run_batch(8);
+    const auto counts = runner.count_outcomes_guarded(
+        [&] { return runtime::BatchView{&batch, nullptr, batch.size()}; },
+        outcome, first_key);
+    EXPECT_FALSE(counts.counts.from_cache);
   }
   {
     // A separate engine instance with an identical config must produce the
@@ -323,9 +315,14 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     const std::string key =
         runtime::EnsembleRunner::digest_engine_batch(engine, 8);
     EXPECT_EQ(key, first_key);
-    const auto counts = runner.count_outcomes(
-        [&] { return engine.run_batch(8); }, outcome, key);
-    EXPECT_TRUE(counts.from_cache);
+    const std::vector<HurricaneRealization> none;
+    const auto counts = runner.count_outcomes_guarded(
+        [&] {
+          ADD_FAILURE() << "disk hit materialized the batch";
+          return runtime::BatchView{&none, nullptr, 0};
+        },
+        outcome, key);
+    EXPECT_TRUE(counts.counts.from_cache);
   }
   std::filesystem::remove_all(dir);
 }

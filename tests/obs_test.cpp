@@ -2,8 +2,8 @@
 // concurrency (the TSan job runs this suite), log2 histogram bucket
 // boundaries, span ring-buffer overflow accounting, Chrome-trace JSON
 // well-formedness, binary exporter round-trip + exhaustive corruption
-// rejection — and the determinism gate: analyze() and ScadaDes::run()
-// must be bit-identical with observability (metrics + tracing) on and
+// rejection — and the determinism gate: analyze_resumable() and
+// ScadaDes::run() must be bit-identical with observability (metrics + tracing) on and
 // off, at every jobs value the CI matrix exercises.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -422,12 +423,15 @@ core::ScenarioResult analyze_once(unsigned jobs) {
   options.chunk = 7;
   options.cache = false;  // no cache: both runs must actually compute
   runtime::EnsembleRunner runtime(options);
-  const std::vector<surge::HurricaneRealization> realizations =
-      runtime.generate(engine, 32);
+  const scada::Configuration scada_config = paper_config(2);
   const core::AnalysisPipeline pipeline;
-  return pipeline.analyze(paper_config(2),
-                          threat::ThreatScenario::kHurricaneIntrusionIsolation,
-                          realizations, runtime, "obs-determinism-gate");
+  // The fused stream `ctctl analyze` runs, checkpointing off.
+  core::ResumableAnalysis analysis = pipeline.analyze_resumable(
+      {core::SweepCell{&scada_config,
+                       threat::ThreatScenario::kHurricaneIntrusionIsolation}},
+      engine, 32, runtime, "obs-determinism-gate",
+      runtime::CheckpointOptions{});
+  return std::move(analysis.results.at(0));
 }
 
 TEST(ObsDeterminismTest, AnalyzeBitIdenticalWithObsOnAndOff) {

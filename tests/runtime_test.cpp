@@ -64,30 +64,6 @@ TEST(TaskPoolTest, HandlesEmptyAndOversizedChunks) {
   EXPECT_EQ(count.load(), 3);
 }
 
-/// The floating-point reduction must be bit-identical at every thread
-/// count: chunk boundaries and fold order depend only on (n, chunk).
-TEST(TaskPoolTest, MapReduceBitIdenticalAcrossThreadCounts) {
-  constexpr std::size_t kN = 10007;  // prime: ragged final chunk
-  const auto run = [&](unsigned jobs) {
-    runtime::TaskPool pool(jobs);
-    return pool.map_reduce(
-        kN, 13, 0.0,
-        [](std::size_t begin, std::size_t end) {
-          double s = 0.0;
-          for (std::size_t i = begin; i < end; ++i) {
-            s += 1.0 / (1.0 + static_cast<double>(i) * 0.1);
-          }
-          return s;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  const double serial = run(1);
-  for (const unsigned jobs : {2u, 4u, 8u}) {
-    const double parallel = run(jobs);
-    EXPECT_EQ(serial, parallel) << "jobs " << jobs;  // exact, not NEAR
-  }
-}
-
 TEST(TaskPoolTest, FirstExceptionPropagatesAndPoolSurvives) {
   runtime::TaskPool pool(4);
   EXPECT_THROW(pool.parallel_for_each(100, 3,

@@ -278,33 +278,6 @@ TEST(RealizationEngine, NullTerrainRejected) {
   EXPECT_THROW(RealizationEngine(nullptr, {}, {}), std::invalid_argument);
 }
 
-TEST(RealizationEngine, ParallelBatchMatchesSerial) {
-  const scada::ScadaTopology topo = scada::oahu_topology();
-  const RealizationEngine engine(terrain::make_oahu_terrain(),
-                                 topo.exposed_assets(), {});
-  const auto serial = engine.run_batch(8);
-  const auto parallel = engine.run_batch_parallel(8, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].index, parallel[i].index);
-    ASSERT_EQ(serial[i].impacts.size(), parallel[i].impacts.size());
-    for (std::size_t a = 0; a < serial[i].impacts.size(); ++a) {
-      EXPECT_DOUBLE_EQ(serial[i].impacts[a].water_level_m,
-                       parallel[i].impacts[a].water_level_m);
-      EXPECT_EQ(serial[i].impacts[a].failed, parallel[i].impacts[a].failed);
-    }
-  }
-}
-
-TEST(RealizationEngine, ParallelBatchDegenerateCases) {
-  const scada::ScadaTopology topo = scada::oahu_topology();
-  const RealizationEngine engine(terrain::make_oahu_terrain(),
-                                 topo.exposed_assets(), {});
-  EXPECT_TRUE(engine.run_batch_parallel(0).empty());
-  EXPECT_EQ(engine.run_batch_parallel(1, 8).size(), 1u);
-  EXPECT_EQ(engine.run_batch_parallel(3, 1).size(), 3u);
-}
-
 TEST(RealizationEngine, BatchIndicesAreStable) {
   // run_batch(n)[i] must equal run(i): realizations are pure functions of
   // (seed, index), so growing the batch never changes earlier entries.
