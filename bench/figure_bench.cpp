@@ -1,17 +1,20 @@
 #include "figure_bench.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/case_study.h"
 #include "core/report.h"
 #include "scada/oahu.h"
+#include "util/json_writer.h"
 #include "util/strings.h"
 
 namespace ct::bench {
@@ -117,6 +120,61 @@ std::string record_json(const ObsBenchRecord& r) {
   return out.str();
 }
 
+/// First line of `command`'s stdout, or "" when it fails.
+std::string command_line(const std::string& command) {
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char buf[256] = {};
+  const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+  const int status = pclose(pipe);
+  if (!got || status != 0) return "";
+  return std::string(util::trim(buf));
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) {
+        return std::string(util::trim(line.substr(colon + 1)));
+      }
+    }
+  }
+  return "unknown";
+}
+
+/// The host and build that produced a record: CPU model, nproc, compiler,
+/// build type, and the git SHA of the source tree (plus whether it had
+/// uncommitted changes). Computed once per process.
+const std::string& host_stamp_json() {
+  static const std::string stamp = [] {
+    const std::string git = std::string("git -C \"") + CT_BENCH_SOURCE_DIR +
+                            "\" ";
+    const std::string sha = command_line(git + "rev-parse HEAD 2>/dev/null");
+    const std::string dirty =
+        command_line(git + "status --porcelain --untracked-files=no "
+                           "2>/dev/null | head -n 1");
+    std::ostringstream out;
+    out << "\"host\": {\"cpu\": \"" << util::json_escape(cpu_model())
+        << "\", \"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"compiler\": \"" << util::json_escape(CT_BENCH_COMPILER)
+        << "\", \"build_type\": \"" << util::json_escape(CT_BENCH_BUILD_TYPE)
+        << "\", \"git_sha\": \"" << (sha.empty() ? "none" : sha)
+        << "\", \"git_dirty\": " << (dirty.empty() ? "false" : "true")
+        << '}';
+    return out.str();
+  }();
+  return stamp;
+}
+
+/// `json` (one record, ending in '}') with the host stamp appended.
+std::string stamped(std::string json) {
+  json.insert(json.size() - 1, ", " + host_stamp_json());
+  return json;
+}
+
 // The bench files are JSON objects with one record per line so every bench
 // binary can update its own row with a line-level merge — no JSON parser
 // needed, and `jq` still reads the whole file.
@@ -156,22 +214,22 @@ void merge_record_line(const std::string& path, const std::string& name,
 
 void write_runtime_bench_record(const RuntimeBenchRecord& record,
                                 const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+  merge_record_line(path, record.name, stamped(record_json(record)));
 }
 
 void write_surge_bench_record(const SurgeBenchRecord& record,
                               const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+  merge_record_line(path, record.name, stamped(record_json(record)));
 }
 
 void write_des_bench_record(const DesBenchRecord& record,
                             const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+  merge_record_line(path, record.name, stamped(record_json(record)));
 }
 
 void write_obs_bench_record(const ObsBenchRecord& record,
                             const std::string& path) {
-  merge_record_line(path, record.name, record_json(record));
+  merge_record_line(path, record.name, stamped(record_json(record)));
 }
 
 namespace {

@@ -84,6 +84,8 @@ struct RuntimeBenchRecord {
 /// Merges the record into `path` (default BENCH_runtime.json in the cwd):
 /// one JSON object keyed by record name, one record per line, existing
 /// records for other benches preserved. An unreadable file is rebuilt.
+/// Every write_*_bench_record appends the same "host" stamp (CPU model,
+/// nproc, compiler, build type, git SHA and dirty flag).
 void write_runtime_bench_record(const RuntimeBenchRecord& record,
                                 const std::string& path = "BENCH_runtime.json");
 

@@ -89,43 +89,4 @@ StormStepKernel::StormStepKernel(const WindFieldOptions& opts,
       surface_factor_(opts.surface_wind_factor),
       translation_fraction_(opts.translation_fraction) {}
 
-WindSample StormStepKernel::sample(geo::Vec2 point) const noexcept {
-  const geo::Vec2 radial = point - center_;
-  const double r = radial.norm();
-  WindSample out;
-  if (r <= 1.0) {
-    // Calm eye: holland_pressure returns the central pressure and the
-    // legacy sampler zeroes the wind.
-    out.pressure_pa = central_pressure_pa_;
-    out.velocity_ms = {};
-    out.speed_ms = 0.0;
-    return out;
-  }
-
-  // ratio and exp(-ratio) feed both the pressure profile and the gradient
-  // wind; the legacy path evaluates them once per formula with identical
-  // arguments, so sharing the results is bit-preserving.
-  const double ratio = std::pow(rmax_m_ / r, holland_b_);
-  const double decay = std::exp(-ratio);
-  out.pressure_pa = central_pressure_pa_ + dp_ * decay;
-
-  const double cyclostrophic = bdp_ * ratio * decay;
-  const double rf2 = r * f_ / 2.0;
-  const double gradient = std::sqrt(cyclostrophic + rf2 * rf2) - rf2;
-  const double surface = gradient * surface_factor_;
-
-  const geo::Vec2 radial_hat = radial / r;
-  const geo::Vec2 tangential_hat = radial_hat.perp();
-  geo::Vec2 v = tangential_hat * (surface * cos_a_) -
-                radial_hat * (surface * sin_a_);
-
-  const double weight =
-      vmax_ > 0.0 ? std::clamp(gradient / vmax_, 0.0, 1.0) : 0.0;
-  v += translation_ms_ * (translation_fraction_ * weight);
-
-  out.velocity_ms = v;
-  out.speed_ms = v.norm();
-  return out;
-}
-
 }  // namespace ct::storm

@@ -3,6 +3,9 @@
 // forced with exactly this family of wind fields).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "geo/vec2.h"
 
 namespace ct::storm {
@@ -72,6 +75,10 @@ class HollandWindField {
 /// operation sequence on varying inputs is unchanged, so results are
 /// bit-equal — but costs one pow/exp and no trig per node instead of
 /// several of each.
+///
+/// `sample` is defined inline below so the surge envelope loop (another
+/// library) can inline it; the constructor runs once per time step and
+/// stays out of line.
 class StormStepKernel {
  public:
   StormStepKernel(const WindFieldOptions& opts, const VortexParams& params,
@@ -83,6 +90,19 @@ class StormStepKernel {
 
   /// Eyewall gradient wind V(Rmax) for this snapshot (m/s).
   double vmax_ms() const noexcept { return vmax_; }
+
+  geo::Vec2 translation_ms() const noexcept { return translation_ms_; }
+  double central_pressure_pa() const noexcept { return central_pressure_pa_; }
+  double rmax_m() const noexcept { return rmax_m_; }
+  double holland_b() const noexcept { return holland_b_; }
+  /// Pressure deficit max(0, ambient - central) (Pa).
+  double pressure_deficit_pa() const noexcept { return dp_; }
+  /// B * dp / rho_air, the cyclostrophic coefficient.
+  double cyclostrophic_coeff() const noexcept { return bdp_; }
+  /// |Coriolis parameter| (1/s).
+  double coriolis_abs() const noexcept { return f_; }
+  double surface_factor() const noexcept { return surface_factor_; }
+  double translation_fraction() const noexcept { return translation_fraction_; }
 
  private:
   geo::Vec2 center_;
@@ -98,5 +118,44 @@ class StormStepKernel {
   double surface_factor_;
   double translation_fraction_;
 };
+
+inline WindSample StormStepKernel::sample(geo::Vec2 point) const noexcept {
+  const geo::Vec2 radial = point - center_;
+  const double r = radial.norm();
+  WindSample out;
+  if (r <= 1.0) {
+    // Calm eye: holland_pressure returns the central pressure and the
+    // legacy sampler zeroes the wind.
+    out.pressure_pa = central_pressure_pa_;
+    out.velocity_ms = {};
+    out.speed_ms = 0.0;
+    return out;
+  }
+
+  // ratio and exp(-ratio) feed both the pressure profile and the gradient
+  // wind; the legacy path evaluates them once per formula with identical
+  // arguments, so sharing the results is bit-preserving.
+  const double ratio = std::pow(rmax_m_ / r, holland_b_);
+  const double decay = std::exp(-ratio);
+  out.pressure_pa = central_pressure_pa_ + dp_ * decay;
+
+  const double cyclostrophic = bdp_ * ratio * decay;
+  const double rf2 = r * f_ / 2.0;
+  const double gradient = std::sqrt(cyclostrophic + rf2 * rf2) - rf2;
+  const double surface = gradient * surface_factor_;
+
+  const geo::Vec2 radial_hat = radial / r;
+  const geo::Vec2 tangential_hat = radial_hat.perp();
+  geo::Vec2 v = tangential_hat * (surface * cos_a_) -
+                radial_hat * (surface * sin_a_);
+
+  const double weight =
+      vmax_ > 0.0 ? std::clamp(gradient / vmax_, 0.0, 1.0) : 0.0;
+  v += translation_ms_ * (translation_fraction_ * weight);
+
+  out.velocity_ms = v;
+  out.speed_ms = v.norm();
+  return out;
+}
 
 }  // namespace ct::storm

@@ -2,12 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "geo/polygon.h"
+#include "obs/metrics.h"
 #include "storm/holland.h"
+#include "surge/wse_bound.h"
 
 namespace ct::surge {
+
+namespace {
+
+/// Envelope work tallies: node-steps over in-range storm steps, and those
+/// the radial bound skipped.
+struct EnvelopeMetrics {
+  obs::Counter node_steps{"surge.node_steps"};
+  obs::Counter node_steps_skipped{"surge.node_steps_skipped"};
+};
+
+EnvelopeMetrics& envelope_metrics() {
+  static EnvelopeMetrics m;
+  return m;
+}
+
+/// One in-range storm step, queued for nearest-first evaluation.
+struct EnvelopeStep {
+  double distance_m = 0.0;  ///< storm center to mesh center
+  geo::Vec2 center;
+  storm::StormState state;
+};
+
+}  // namespace
 
 MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
                            const geo::EnuProjection& proj,
@@ -69,6 +95,23 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     active_gdepth_.push_back(kGravity * depth);
   }
 
+  prunable_ = true;
+  for (std::size_t k = 0; k < active_nodes_.size(); ++k) {
+    active_extent_ = std::max(
+        active_extent_, geo::distance(active_positions_[k], mesh_center_));
+    onshore_norm_max_ =
+        std::max(onshore_norm_max_, active_onshore_[k].norm());
+    if (!(active_gdepth_[k] > 0.0) || !std::isfinite(active_gdepth_[k])) {
+      prunable_ = false;
+    }
+  }
+  // Triangle-inequality slack: a node's kernel distance can exceed
+  // |center - mesh_center| + |node - mesh_center| only by rounding.
+  active_extent_ *= 1.0 + StepWseBound::kRelativeSlack;
+  if (!std::isfinite(active_extent_) || !std::isfinite(onshore_norm_max_)) {
+    prunable_ = false;
+  }
+
   auto index = std::make_shared<AssetIndex>();
   asset_ids_.reserve(assets.size());
   asset_ground_m_.reserve(assets.size());
@@ -107,16 +150,48 @@ void MeshBindings::accumulate_envelope(const storm::StormTrack& track,
   const double exponent_m1 = surge_.wind_setup_exponent - 1.0;
   const double rho_g = kWaterDensity * kGravity;
 
+  // In-range steps, nearest first. env starts at +0 and std::max replaces
+  // it only when env < wse, so it ends as +0 or the largest WSE (unique in
+  // bits) and never takes a NaN: the step order cannot change it. The
+  // early high envelope lets the far steps prune more.
+  thread_local std::vector<EnvelopeStep> steps;
+  steps.clear();
   for (double t = track.start_time(); t <= track.end_time();
        t += surge_.dt_s) {
     const storm::StormState state = track.state_at(t, proj);
     const geo::Vec2 center = proj.to_enu(state.center);
-    if (geo::distance(center, mesh_center_) > mesh_radius_) continue;
+    const double distance = geo::distance(center, mesh_center_);
+    // Far steps are skipped as in the reference solver. A NaN center makes
+    // every WSE of the step NaN, which max drops, so skipping it is exact
+    // and keeps the sort key well ordered.
+    if (!(distance <= mesh_radius_)) continue;
+    steps.push_back({distance, center, state});
+  }
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const EnvelopeStep& a, const EnvelopeStep& b) {
+                     return a.distance_m < b.distance_m;
+                   });
 
-    const storm::StormStepKernel kernel(surge_.wind_options, state.vortex,
-                                        center, state.translation_ms);
-    const double ambient_pa = state.vortex.ambient_pressure_pa;
+  std::uint64_t skipped = 0;
+  for (const EnvelopeStep& step : steps) {
+    const storm::StormStepKernel kernel(surge_.wind_options, step.state.vortex,
+                                        step.center,
+                                        step.state.translation_ms);
+    const double ambient_pa = step.state.vortex.ambient_pressure_pa;
+    const StepWseBound bound(
+        surge_, kernel, ambient_pa, step.distance_m - active_extent_,
+        (step.distance_m + active_extent_) *
+            (1.0 + StepWseBound::kRelativeSlack),
+        onshore_norm_max_);
+    const bool prune = prunable_ && bound.enabled();
     for (std::size_t k = 0; k < active_count; ++k) {
+      double& env = envelope[active_nodes_[k]];
+      if (prune &&
+          bound.at((active_positions_[k] - step.center).norm(),
+                   active_gdepth_[k]) <= env) {
+        ++skipped;  // wse <= bound <= env: max(env, wse) == env
+        continue;
+      }
       const storm::WindSample w = kernel.sample(active_positions_[k]);
       const double u_on =
           std::max(0.0, w.velocity_ms.dot(active_onshore_[k]));
@@ -127,10 +202,13 @@ void MeshBindings::accumulate_envelope(const storm::StormTrack& track,
           std::max(0.0, ambient_pa - w.pressure_pa) / rho_g;
       const double eta_wave = surge_.wave_setup_per_ms * u_on;
       const double wse = eta_wind + eta_pressure + eta_wave;
-      double& env = envelope[active_nodes_[k]];
       env = std::max(env, wse);
     }
   }
+
+  EnvelopeMetrics& metrics = envelope_metrics();
+  metrics.node_steps.inc(steps.size() * active_count);
+  metrics.node_steps_skipped.inc(skipped);
 }
 
 void MeshBindings::impacts_into(const std::vector<double>& shoreline_wse,

@@ -13,8 +13,10 @@
 // shoreline nodes (the extension step overwrites onshore nodes and the
 // output is the per-station shoreline WSE), so `accumulate_envelope`
 // evaluates exactly those nodes with the same IEEE-754 operation sequence
-// the reference SurgeSolver uses and leaves the rest at 0. See DESIGN.md
-// §10 for the full argument.
+// the reference SurgeSolver uses and leaves the rest at 0. Within a call it
+// visits storm steps nearest-first and skips node-steps whose radial upper
+// bound (surge/wse_bound.h) cannot raise the running maximum; both leave
+// every written value unchanged. See DESIGN.md §10 for the full argument.
 #pragma once
 
 #include <array>
@@ -71,7 +73,9 @@ class MeshBindings {
   /// Writes the MEOW envelope of `track` into `envelope` (resized to the
   /// node count; non-active nodes stay 0). Bit-equal on every consumed
   /// node to SurgeSolver::max_envelope with the same config. Thread-safe:
-  /// const over frozen arrays, all mutation goes to `envelope`.
+  /// const over frozen arrays, all mutation goes to `envelope` and a
+  /// thread-local step buffer. Adds the call's node-step tallies to the
+  /// `surge.node_steps` and `surge.node_steps_skipped` counters.
   void accumulate_envelope(const storm::StormTrack& track,
                            const geo::EnuProjection& proj,
                            mesh::NodeField& envelope) const;
@@ -111,6 +115,13 @@ class MeshBindings {
   // Far-skip geometry, identical to SurgeSolver::max_envelope.
   geo::Vec2 mesh_center_;
   double mesh_radius_ = 0.0;
+
+  // Pruning geometry: every active node lies within active_extent_ of
+  // mesh_center_; |onshore| is at most onshore_norm_max_. prunable_ is
+  // false when a node's depth term or direction is unusable for the bound.
+  double active_extent_ = 0.0;
+  double onshore_norm_max_ = 0.0;
+  bool prunable_ = false;
 
   mesh::ShorelinePlan plan_;
 

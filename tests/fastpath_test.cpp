@@ -14,10 +14,13 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "obs/metrics.h"
 #include "runtime/ensemble_runner.h"
 #include "scada/configuration.h"
 #include "scada/oahu.h"
+#include "storm/generator.h"
 #include "surge/realization.h"
+#include "surge/surge_model.h"
 #include "terrain/oahu.h"
 #include "terrain/terrain.h"
 #include "util/digest.h"
@@ -114,6 +117,43 @@ TEST(Fastpath, RunMatchesReferenceBitExactAcrossConfigVariants) {
     c.smoothing_band_m = 0.0;
     variants.push_back({"band-0", c});
   }
+  // SurgeConfig variants: each reshapes the envelope kernel's radial bound
+  // (exponent 0.5 turns pruning off), the step set, or the far skip.
+  {
+    RealizationConfig c;
+    c.surge.wind_setup_exponent = 1.0;
+    variants.push_back({"wind-exponent-1", c});
+  }
+  {
+    RealizationConfig c;
+    c.surge.wind_setup_exponent = 0.5;
+    variants.push_back({"wind-exponent-0.5", c});
+  }
+  {
+    RealizationConfig c;
+    c.surge.wave_setup_per_ms = 0.0;
+    variants.push_back({"wave-setup-0", c});
+  }
+  {
+    RealizationConfig c;
+    c.surge.wind_options.translation_fraction = 0.0;
+    variants.push_back({"translation-fraction-0", c});
+  }
+  {
+    RealizationConfig c;
+    c.surge.wind_options.inflow_angle_deg = 0.0;
+    variants.push_back({"inflow-angle-0", c});
+  }
+  {
+    RealizationConfig c;
+    c.surge.dt_s = 600.0;
+    variants.push_back({"dt-600", c});
+  }
+  {
+    RealizationConfig c;
+    c.surge.max_considered_distance_m = 60000.0;
+    variants.push_back({"considered-distance-60km", c});
+  }
 
   for (const Variant& v : variants) {
     const RealizationEngine engine(oahu(), oahu_assets(), v.config);
@@ -122,6 +162,44 @@ TEST(Fastpath, RunMatchesReferenceBitExactAcrossConfigVariants) {
           engine.run(index), engine.run_reference(index),
           std::string(v.name) + "[" + std::to_string(index) + "]");
     }
+  }
+}
+
+TEST(Fastpath, EnvelopeMatchesSolverOnEveryActiveNodeOver200Realizations) {
+  const RealizationConfig config;
+  const RealizationEngine engine(oahu(), oahu_assets(), config);
+  const storm::TrackGenerator generator(config.ensemble);
+  const surge::SurgeSolver solver(config.surge);
+  const geo::EnuProjection& proj = engine.terrain().projection();
+  const surge::MeshBindings& bindings = engine.bindings();
+
+  const auto skipped = [] {
+    const obs::MetricsSnapshot snapshot = obs::capture_metrics();
+    const obs::MetricValue* m = snapshot.find("surge.node_steps_skipped");
+    return m != nullptr ? m->value : std::uint64_t{0};
+  };
+  const std::uint64_t skipped_before = skipped();
+  mesh::NodeField fast;
+  std::size_t mismatches = 0;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const storm::StormTrack track = generator.generate(config.base_seed, i);
+    bindings.accumulate_envelope(track, proj, fast);
+    const mesh::NodeField reference =
+        solver.max_envelope(engine.coastal_mesh(), track, proj);
+    ASSERT_EQ(fast.size(), reference.size());
+    for (const mesh::NodeId n : bindings.active_nodes()) {
+      if (bits(fast[n]) != bits(reference[n])) {
+        ++mismatches;
+        ADD_FAILURE() << "realization " << i << " node " << n << ": "
+                      << fast[n] << " vs " << reference[n];
+      }
+    }
+    if (mismatches > 10) break;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // The identity above must hold with pruning actually engaged.
+  if (obs::enabled()) {
+    EXPECT_GT(skipped(), skipped_before);
   }
 }
 

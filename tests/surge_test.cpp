@@ -2,6 +2,9 @@
 // the realization engine (fast cases; statistical calibration lives in
 // calibration_test.cpp).
 #include <cmath>
+#include <limits>
+#include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include "surge/inundation.h"
 #include "surge/realization.h"
 #include "surge/surge_model.h"
+#include "surge/wse_bound.h"
 #include "terrain/oahu.h"
 
 namespace ct::surge {
@@ -339,6 +343,167 @@ TEST(Harbor, ScratchOverloadsBitIdentical) {
   apply_harbor_transfer(a, sheltered, sources, 1.08);
   apply_harbor_transfer(c, sheltered, sources, 1.08, snapshot);
   EXPECT_EQ(a, c);
+}
+
+// ------------------------------------------------- envelope pruning bound
+
+/// One node-step's WSE, computed exactly as MeshBindings::
+/// accumulate_envelope computes it.
+double kernel_wse(const SurgeConfig& surge,
+                  const storm::StormStepKernel& kernel, double ambient_pa,
+                  geo::Vec2 point, geo::Vec2 onshore, double gdepth) {
+  const double exponent_m1 = surge.wind_setup_exponent - 1.0;
+  const double rho_g = kWaterDensity * kGravity;
+  const storm::WindSample w = kernel.sample(point);
+  const double u_on = std::max(0.0, w.velocity_ms.dot(onshore));
+  const double eta_wind = surge.wind_setup_scale_m * u_on *
+                          std::pow(w.speed_ms, exponent_m1) / gdepth;
+  const double eta_pressure =
+      std::max(0.0, ambient_pa - w.pressure_pa) / rho_g;
+  const double eta_wave = surge.wave_setup_per_ms * u_on;
+  return eta_wind + eta_pressure + eta_wave;
+}
+
+TEST(StepWseBound, BoundsKernelWseAtEveryEdgeAndBeyond) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<storm::VortexParams> vortices;
+  vortices.push_back({});  // defaults
+  vortices.push_back({95500.0, 101200.0, 28000.0, 1.9, 13.5});
+  vortices.push_back({99900.0, 99800.0, 55000.0, 1.05, 35.0});  // dp < 0
+  vortices.push_back({97000.0, 101000.0, 0.5, 1.3, 21.0});      // tiny rmax
+  vortices.push_back({96500.0, 101000.0, 35000.0, 1.0, 21.0});  // B = 1
+  vortices.push_back({96500.0, 101000.0, 35000.0, 2.5, 21.0});  // B = 2.5
+  const std::vector<geo::Vec2> translations = {
+      {0.0, 0.0}, {4.0, 6.5}, {45.0, -30.0}};
+  std::vector<SurgeConfig> configs(2);
+  configs[1].wind_setup_exponent = 1.0;
+  configs[1].wind_options.inflow_angle_deg = 23.0;
+  configs[1].wind_options.translation_fraction = 0.6;
+  const std::vector<double> depth_floors = {0.5, 2.0, 10.0, 80.0};
+
+  std::vector<geo::Vec2> onshore(64);
+  for (std::size_t i = 0; i < onshore.size(); ++i) {
+    const double a = 2.0 * std::numbers::pi * static_cast<double>(i) /
+                     static_cast<double>(onshore.size());
+    onshore[i] = {std::cos(a), std::sin(a)};
+  }
+  // Axis points keep (point - center).norm() == r exactly, so the edge
+  // and edge +- 1 ulp radii are hit precisely; diagonals add directions.
+  std::vector<geo::Vec2> bearings = {{1, 0}, {0, 1}, {-1, 0}, {0, -1}};
+  for (int i = 0; i < 4; ++i) {
+    const double a = std::numbers::pi / 4.0 + i * std::numbers::pi / 2.0;
+    bearings.push_back({std::cos(a), std::sin(a)});
+  }
+
+  const geo::Vec2 center{0.0, 0.0};
+  const double r_far = 250000.0;
+  std::size_t checked = 0;
+  std::size_t violations = 0;
+  double tightest = 0.0;  // max wse / bound over the grid
+  for (const SurgeConfig& surge : configs) {
+    for (const storm::VortexParams& vortex : vortices) {
+      for (const geo::Vec2 translation : translations) {
+        const storm::StormStepKernel kernel(surge.wind_options, vortex,
+                                            center, translation);
+        const double ambient = vortex.ambient_pressure_pa;
+        const StepWseBound bound(surge, kernel, ambient, 0.0, r_far, 1.0);
+        ASSERT_TRUE(bound.enabled());
+
+        std::vector<double> radii;
+        for (std::size_t j = 0; j < StepWseBound::kBins; ++j) {
+          const double e = bound.edge(j);
+          radii.push_back(std::nextafter(e, 0.0));
+          radii.push_back(e);
+          radii.push_back(std::nextafter(e, kInf));
+          const double next =
+              j + 1 < StepWseBound::kBins ? bound.edge(j + 1) : r_far;
+          radii.push_back((e + next) / 2.0);
+        }
+        for (const double r : {r_far, 1.5 * r_far, 4.0 * r_far}) {
+          radii.push_back(r);
+        }
+        // Conservative lookup: one ulp below an edge reads the bin below.
+        EXPECT_EQ(bound.at(std::nextafter(bound.edge(0), 0.0), 1.0), kInf);
+        for (std::size_t j = 1; j < StepWseBound::kBins; ++j) {
+          EXPECT_EQ(bound.at(std::nextafter(bound.edge(j), 0.0), 9.81),
+                    bound.at(bound.edge(j - 1), 9.81));
+        }
+
+        for (const double r : radii) {
+          for (const geo::Vec2 bearing : bearings) {
+            const geo::Vec2 point = center + bearing * r;
+            const double r_kernel = (point - center).norm();
+            for (const double floor_m : depth_floors) {
+              const double gdepth = kGravity * floor_m;
+              const double limit = bound.at(r_kernel, gdepth);
+              if (r_kernel >= bound.edge(0)) {
+                EXPECT_TRUE(std::isfinite(limit)) << r_kernel;
+              }
+              for (const geo::Vec2 n : onshore) {
+                const double wse =
+                    kernel_wse(surge, kernel, ambient, point, n, gdepth);
+                ++checked;
+                if (std::isfinite(limit)) tightest = std::max(tightest, wse / limit);
+                if (!(wse <= limit)) {
+                  ++violations;
+                  if (violations <= 5) {
+                    ADD_FAILURE() << "r=" << r << " wse=" << wse
+                                  << " bound=" << limit
+                                  << " rmax=" << vortex.rmax_m
+                                  << " B=" << vortex.holland_b;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u) << "of " << checked;
+  EXPECT_GT(checked, 1000000u);
+  // The grid reaches where the bound is nearly attained (bin edges, wind
+  // aligned with the onshore direction), so a bound that undercuts the
+  // kernel anywhere near there fails above.
+  EXPECT_GT(tightest, 0.99);
+}
+
+TEST(StepWseBound, DisabledWhenMonotonicityCannotBeShown) {
+  const storm::VortexParams vortex;
+  const geo::Vec2 center{0.0, 0.0};
+  const geo::Vec2 translation{4.0, 6.5};
+  const auto enabled = [&](const SurgeConfig& surge, double ambient) {
+    const storm::StormStepKernel kernel(surge.wind_options, vortex, center,
+                                        translation);
+    const StepWseBound bound(surge, kernel, ambient, 0.0, 250000.0, 1.0);
+    if (!bound.enabled()) {
+      EXPECT_EQ(bound.at(100000.0, 20.0),
+                std::numeric_limits<double>::infinity());
+    }
+    return bound.enabled();
+  };
+  const SurgeConfig base;
+  EXPECT_TRUE(enabled(base, vortex.ambient_pressure_pa));
+
+  SurgeConfig c = base;
+  c.wind_setup_exponent = 0.5;
+  EXPECT_FALSE(enabled(c, vortex.ambient_pressure_pa));
+  c = base;
+  c.wind_setup_scale_m = -1e-4;
+  EXPECT_FALSE(enabled(c, vortex.ambient_pressure_pa));
+  c = base;
+  c.wave_setup_per_ms = -0.001;
+  EXPECT_FALSE(enabled(c, vortex.ambient_pressure_pa));
+  c = base;
+  c.wind_options.surface_wind_factor = -0.9;
+  EXPECT_FALSE(enabled(c, vortex.ambient_pressure_pa));
+  c = base;
+  c.wind_options.translation_fraction = -0.5;
+  EXPECT_FALSE(enabled(c, vortex.ambient_pressure_pa));
+  c = base;
+  c.wind_setup_scale_m = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(enabled(c, vortex.ambient_pressure_pa));
+  EXPECT_FALSE(enabled(base, std::numeric_limits<double>::infinity()));
 }
 
 }  // namespace
