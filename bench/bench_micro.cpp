@@ -325,21 +325,6 @@ void BM_DesEventLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DesEventLoop)->Unit(benchmark::kMillisecond);
 
-/// The same runs through the verbatim pre-overhaul engine
-/// (sim/reference_des.cpp) — the denominator of the >=3x speedup gate.
-void BM_DesEventLoopReference(benchmark::State& state) {
-  const sim::ScadaDes des(des_config(), core::chaos_des_options());
-  const threat::SystemState attacked = des_attacked_state(des.config());
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const sim::DesOutcome outcome = des.run_reference(attacked);
-    events += outcome.events;
-    benchmark::DoNotOptimize(outcome.observed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_DesEventLoopReference)->Unit(benchmark::kMillisecond);
-
 /// One f=1 BFT group driven request -> proposal -> quorum -> execute, a
 /// round per iteration: isolates the indexed vote/checkpoint bookkeeping
 /// from the rest of the simulation.
@@ -420,9 +405,8 @@ void BM_SpanOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanOverhead)->Arg(0)->Arg(1);
 
-/// Times the pooled DES engine against the reference over the same run
-/// corpus (plain runs + a chaos-style fault-plan sweep), checking every
-/// outcome with des_outcomes_identical. Merged into BENCH_des.json.
+/// Times the pooled DES engine over plain runs, a BFT quorum round, and a
+/// chaos-style fault-plan sweep. Merged into BENCH_des.json.
 bench::DesBenchRecord micro_des_record() {
   const scada::Configuration& config = des_config();
   const sim::DesOptions options = core::chaos_des_options();
@@ -435,22 +419,11 @@ bench::DesBenchRecord micro_des_record() {
   };
 
   constexpr std::size_t kRuns = 10;
-  std::vector<sim::DesOutcome> reference;
-  reference.reserve(kRuns);
-  const auto ref_start = now();
-  for (std::size_t i = 0; i < kRuns; ++i) {
-    reference.push_back(des.run_reference(attacked));
-  }
-  const auto ref_end = now();
-
   sim::DesArena arena;
-  bool identical = true;
   std::uint64_t events = 0;
   const auto fast_start = now();
   for (std::size_t i = 0; i < kRuns; ++i) {
-    const sim::DesOutcome fast = des.run(attacked, arena);
-    events += fast.events;
-    identical = identical && sim::des_outcomes_identical(fast, reference[i]);
+    events += des.run(attacked, arena).events;
   }
   const auto fast_end = now();
 
@@ -488,7 +461,7 @@ bench::DesBenchRecord micro_des_record() {
   }
 
   // Chaos-corpus sweep: the exact plans ChaosRunner would generate
-  // (child RNG per plan index), through both engines.
+  // (child RNG per plan index), one arena across the sweep.
   std::vector<int> nodes_per_site;
   for (const auto& site : config.sites) nodes_per_site.push_back(site.replicas);
   sim::BenignPlanShape shape;
@@ -503,18 +476,9 @@ bench::DesBenchRecord micro_des_record() {
     util::Rng plan_rng = base_rng.child("plan", p);
     plans.push_back(sim::random_benign_plan(shape, nodes_per_site, plan_rng));
   }
-  std::vector<sim::DesOutcome> sweep_reference;
-  sweep_reference.reserve(kPlans);
-  const auto sweep_ref_start = now();
-  for (const sim::FaultPlan& plan : plans) {
-    sweep_reference.push_back(des.run_reference(attacked, plan));
-  }
-  const auto sweep_ref_end = now();
   const auto sweep_fast_start = now();
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const sim::DesOutcome fast = des.run(attacked, plans[p], arena);
-    identical = identical &&
-                sim::des_outcomes_identical(fast, sweep_reference[p]);
+  for (const sim::FaultPlan& plan : plans) {
+    benchmark::DoNotOptimize(des.run(attacked, plan, arena).observed);
   }
   const auto sweep_fast_end = now();
 
@@ -522,13 +486,10 @@ bench::DesBenchRecord micro_des_record() {
   record.name = "bench_micro";
   record.runs = kRuns;
   record.events = events;
-  record.reference_s = seconds(ref_start, ref_end);
   record.fast_s = seconds(fast_start, fast_end);
   record.quorum_round_ms = quorum_round_ms;
-  record.sweep_reference_s = seconds(sweep_ref_start, sweep_ref_end);
   record.sweep_fast_s = seconds(sweep_fast_start, sweep_fast_end);
   record.sweep_runs = kPlans;
-  record.identical = identical;
   return record;
 }
 
@@ -883,21 +844,14 @@ int main(int argc, char** argv) {
   const bench::DesBenchRecord des_record = micro_des_record();
   bench::write_des_bench_record(des_record);
   std::cout << "DES engine (" << des_record.runs << " runs, "
-            << des_record.events << " events): reference "
-            << util::format_fixed(des_record.reference_s, 2) << " s ("
-            << util::format_fixed(des_record.reference_events_per_s() / 1e6, 2)
-            << " M ev/s), pooled "
+            << des_record.events << " events): pooled "
             << util::format_fixed(des_record.fast_s, 2) << " s ("
             << util::format_fixed(des_record.fast_events_per_s() / 1e6, 2)
-            << " M ev/s, " << util::format_fixed(des_record.speedup(), 2)
-            << "x), quorum round "
+            << " M ev/s), quorum round "
             << util::format_fixed(des_record.quorum_round_ms * 1000.0, 1)
             << " us, plan sweep " << des_record.sweep_runs << " plans "
-            << util::format_fixed(des_record.sweep_reference_s, 2) << " -> "
-            << util::format_fixed(des_record.sweep_fast_s, 2) << " s ("
-            << util::format_fixed(des_record.sweep_speedup(), 2) << "x), "
-            << (des_record.identical ? "bit-identical" : "NOT IDENTICAL")
-            << "; recorded in BENCH_des.json\n";
+            << util::format_fixed(des_record.sweep_fast_s, 2)
+            << " s; recorded in BENCH_des.json\n";
 
   const bench::ObsBenchRecord obs_record = micro_obs_record();
   bench::write_obs_bench_record(obs_record);
@@ -948,8 +902,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return record.identical && surge_record.identical && des_record.identical &&
-                 obs_record.identical && obs_cheap
+  return record.identical && surge_record.identical && obs_record.identical &&
+                 obs_cheap
              ? 0
              : 1;
 }

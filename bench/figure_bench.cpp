@@ -88,18 +88,12 @@ std::string record_json(const DesBenchRecord& r) {
   out << '"' << r.name << "\": {"
       << "\"runs\": " << r.runs
       << ", \"events\": " << r.events << std::setprecision(4)
-      << ", \"reference_s\": " << r.reference_s
       << ", \"fast_s\": " << r.fast_s << std::setprecision(0)
-      << ", \"reference_events_per_s\": " << r.reference_events_per_s()
       << ", \"fast_events_per_s\": " << r.fast_events_per_s()
-      << std::setprecision(3) << ", \"speedup\": " << r.speedup()
       << std::setprecision(4)
       << ", \"quorum_round_ms\": " << r.quorum_round_ms
-      << ", \"sweep_reference_s\": " << r.sweep_reference_s
-      << ", \"sweep_fast_s\": " << r.sweep_fast_s << std::setprecision(3)
-      << ", \"sweep_speedup\": " << r.sweep_speedup()
-      << ", \"sweep_runs\": " << r.sweep_runs
-      << ", \"identical\": " << (r.identical ? "true" : "false") << '}';
+      << ", \"sweep_fast_s\": " << r.sweep_fast_s
+      << ", \"sweep_runs\": " << r.sweep_runs << '}';
   return out.str();
 }
 

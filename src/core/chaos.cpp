@@ -28,6 +28,20 @@ sim::DesOptions chaos_des_options() {
   return options;
 }
 
+sim::DesOptions a4_des_options() {
+  sim::DesOptions options;
+  options.horizon_s = 900.0;
+  options.attack_time_s = 150.0;
+  options.settle_window_s = 200.0;
+  options.orange_gap_s = 100.0;
+  options.pb.activation_delay_s = 180.0;
+  options.pb.controller_outage_threshold_s = 15.0;
+  options.pb.controller_check_interval_s = 3.0;
+  options.bft.activation_delay_s = 180.0;
+  options.bft.view_timeout_s = 8.0;
+  return options;
+}
+
 ChaosRunner::ChaosRunner(ChaosOptions options) : options_(std::move(options)) {}
 
 namespace {

@@ -30,6 +30,10 @@ namespace ct::core {
 /// fits), with the liveness invariant armed.
 sim::DesOptions chaos_des_options();
 
+/// Timeline of the A4 ablation (bench_des): the DES-vs-analytic Table I
+/// cross-check over every flood mask x scenario, without fault plans.
+sim::DesOptions a4_des_options();
+
 struct ChaosOptions {
   /// What the seeded plans stress: kBenign mixes mild crash/flap/skew
   /// windows; kRestartHeavy generates back-to-back crash/restart and

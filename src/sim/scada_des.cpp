@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/reference_des.h"
 #include "threat/attacker.h"
 #include "util/log.h"
 
@@ -115,6 +114,39 @@ bool des_outcomes_identical(const DesOutcome& a, const DesOutcome& b) {
          a.stable_checkpoints == b.stable_checkpoints;
 }
 
+util::Digest des_outcome_digest(const DesOutcome& outcome) {
+  util::Digest d;
+  d.u64(static_cast<std::uint64_t>(outcome.observed))
+      .boolean(outcome.safety_violated)
+      .f64(outcome.max_outage_s)
+      .f64(outcome.steady_availability)
+      .u64(outcome.events)
+      .u64(outcome.messages)
+      .boolean(outcome.truncated);
+  const DropCounters& drops = outcome.drops;
+  d.u64(drops.loss)
+      .u64(drops.site_down)
+      .u64(drops.isolation)
+      .u64(drops.link_down)
+      .u64(drops.crashed)
+      .u64(drops.in_flight)
+      .u64(drops.transfer_loss);
+  d.u64(outcome.duplicates);
+  d.u64(outcome.invariant_violations.size());
+  for (const std::string& line : outcome.invariant_violations) d.str(line);
+  d.u64(outcome.availability_timeline.size());
+  for (const double bucket : outcome.availability_timeline) d.f64(bucket);
+  d.u64(outcome.trace.size());
+  for (const std::string& line : outcome.trace) d.str(line);
+  d.i64(outcome.rejoins)
+      .i64(outcome.rejoin_failures)
+      .i64(outcome.transfer_retry_rounds)
+      .f64(outcome.max_catchup_s)
+      .i64(outcome.passive_replicas)
+      .i64(outcome.stable_checkpoints);
+  return d;
+}
+
 DesCounters des_counters_snapshot() {
   DesMetrics& m = des_metrics();
   DesCounters c;
@@ -165,26 +197,6 @@ DesOutcome ScadaDes::run(const threat::SystemState& attacked_state,
 DesOutcome ScadaDes::run(const threat::SystemState& attacked_state,
                          const FaultPlan& plan, DesArena& arena) const {
   return run_impl(attacked_state, &plan, arena);
-}
-
-DesOutcome ScadaDes::run_reference(
-    const threat::SystemState& attacked_state) const {
-  obs::Span span("des.run_reference");
-  const auto started = std::chrono::steady_clock::now();
-  DesOutcome outcome =
-      refdes::run_reference_des(config_, options_, attacked_state, nullptr);
-  finish_run_timing(outcome, started);
-  return outcome;
-}
-
-DesOutcome ScadaDes::run_reference(const threat::SystemState& attacked_state,
-                                   const FaultPlan& plan) const {
-  obs::Span span("des.run_reference");
-  const auto started = std::chrono::steady_clock::now();
-  DesOutcome outcome =
-      refdes::run_reference_des(config_, options_, attacked_state, &plan);
-  finish_run_timing(outcome, started);
-  return outcome;
 }
 
 DesOutcome ScadaDes::run_impl(const threat::SystemState& attacked_state,

@@ -20,6 +20,7 @@
 #include "sim/workload.h"
 #include "threat/scenario.h"
 #include "threat/system_state.h"
+#include "util/digest.h"
 
 namespace ct::sim {
 
@@ -90,21 +91,27 @@ struct DesOutcome {
   int stable_checkpoints = 0;
 
   // ---- wall-clock throughput (measurement only: these two fields are
-  // excluded from bit-identity comparisons against run_reference) ----
+  // excluded from des_outcomes_identical and des_outcome_digest) ----
   double sim_wall_ms = 0.0;
   double events_per_second = 0.0;
 };
 
 /// Field-for-field equality over everything the simulation computed —
-/// the bit-identity predicate for run() vs run_reference(). The two
-/// wall-clock measurement fields (sim_wall_ms, events_per_second) are
-/// excluded; everything else, including the full trace and availability
-/// timeline, must match exactly.
+/// the bit-identity predicate for DES determinism checks (arena reuse,
+/// observability on/off). The two wall-clock measurement fields
+/// (sim_wall_ms, events_per_second) are excluded; everything else,
+/// including the full trace and availability timeline, must match exactly.
 bool des_outcomes_identical(const DesOutcome& a, const DesOutcome& b);
 
+/// Digest over exactly the fields des_outcomes_identical compares, in
+/// declaration order (doubles by bit pattern, vectors length-prefixed).
+/// des_fastpath_test pins the engine's behaviour as committed golden
+/// digests of these over the recorded corpora.
+util::Digest des_outcome_digest(const DesOutcome& outcome);
+
 /// Aggregate DES throughput counters, accumulated process-wide across every
-/// ScadaDes run (fast or reference). Surfaced by `ctctl stats` and the
-/// service kStats reply next to the cache statistics.
+/// ScadaDes run. Surfaced by `ctctl stats` and the service kStats reply
+/// next to the cache statistics.
 struct DesCounters {
   std::uint64_t runs = 0;
   std::uint64_t events = 0;
@@ -184,15 +191,6 @@ class ScadaDes {
   /// simulates it.
   DesOutcome run(const std::vector<bool>& site_flooded,
                  threat::AttackerCapability capability) const;
-
-  /// Bit-identity oracle: the pre-overhaul engine (std::function events,
-  /// binary heap, per-delivery message copies, std::map bookkeeping) kept
-  /// verbatim in sim/reference_des.cpp. Every run() outcome must equal the
-  /// matching run_reference() outcome field-for-field (excluding the
-  /// sim_wall_ms / events_per_second measurements).
-  DesOutcome run_reference(const threat::SystemState& attacked_state) const;
-  DesOutcome run_reference(const threat::SystemState& attacked_state,
-                           const FaultPlan& plan) const;
 
   const scada::Configuration& config() const noexcept { return config_; }
   const DesOptions& options() const noexcept { return options_; }

@@ -16,8 +16,8 @@
 // the wheel is observably identical to a single sorted queue. A
 // steady-state event — one whose handler schedules a successor — performs
 // zero heap allocations: the successor reuses the slot the current event
-// just freed. sim/reference_des.{h,cpp} keeps a verbatim copy of the
-// pre-pool engine as the bit-identity oracle.
+// just freed. des_fastpath_test pins the engine's outcomes as committed
+// golden digests.
 #pragma once
 
 #include <cstddef>
