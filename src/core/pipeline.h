@@ -160,7 +160,7 @@ class AnalysisPipeline {
   /// scenario) cell over realizations [0, count) from `engine`, generating
   /// each realization ONCE and classifying it into every live cell (a
   /// cell already in the result cache is served from it and never touches
-  /// the sweep). With ckpt.resume, prior journal/snapshot state is
+  /// the sweep). With ckpt.resume, the prior journal is
   /// validated and replayed so only missing realizations run; the merged
   /// results are bit-identical at any --jobs value to an uninterrupted
   /// run. `interrupt` stops the sweep at the next checkpoint boundary

@@ -13,10 +13,8 @@
 // service request), NOT per event, so the per-close ring mutex is
 // uncontended in practice and TSan-clean by construction.
 //
-// Exporters: write_chrome_trace() emits the Chrome trace-event JSON that
-// chrome://tracing and Perfetto load directly; encode_binary_trace() emits
-// a compact util::Digest-checksummed frame whose decoder rejects every
-// header/payload corruption with a typed ct::Error (kParse, origin "obs").
+// Exporter: write_chrome_trace() emits the Chrome trace-event JSON that
+// chrome://tracing and Perfetto load directly.
 //
 // Gating mirrors metrics: CT_OBS_DISABLED compiles spans out entirely;
 // at runtime tracing is OFF by default and enabled by the CT_OBS_TRACE
@@ -28,7 +26,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -96,16 +93,5 @@ void reset_trace_for_test();
 /// Chrome trace-event JSON ({"traceEvents":[...]}): complete "X" events
 /// with microsecond ts/dur, span id/parent under "args".
 void write_chrome_trace(std::ostream& out, const TraceDump& dump);
-
-/// Compact binary frame: "CTOB" magic, version, record count, payload
-/// length, payload digest, then a digest over the header itself, then the
-/// length-prefixed records. Both digests are util::Digest values, so any
-/// single-byte corruption anywhere in the frame is detected.
-std::string encode_binary_trace(const TraceDump& dump);
-
-/// Decodes encode_binary_trace() output. Throws ct::Error with
-/// ErrorCode::kParse (origin "obs") on any truncation, magic/version
-/// mismatch, or checksum failure.
-TraceDump decode_binary_trace(std::string_view bytes);
 
 }  // namespace ct::obs

@@ -22,8 +22,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Durable-write telemetry: fsync'd-publish latency and total journal
-/// bytes, folded at the single site every checkpoint flush funnels through.
+/// Durable-write telemetry: fsync'd-write latency and total journal bytes,
+/// folded once per durable write (the begin() publish and every append).
 struct CheckpointMetrics {
   obs::Histogram flush_us{"checkpoint.flush_us"};
   obs::Counter flushes{"checkpoint.flushes"};
@@ -33,6 +33,14 @@ struct CheckpointMetrics {
 CheckpointMetrics& checkpoint_metrics() {
   static CheckpointMetrics m;
   return m;
+}
+
+/// Counts one durable write of `bytes`; the caller times it with
+/// `checkpoint_metrics().flush_us`.
+void count_flush(std::size_t bytes) {
+  CheckpointMetrics& m = checkpoint_metrics();
+  m.flushes.inc();
+  m.journal_bytes.inc(bytes);
 }
 
 // --- crash-site accounting --------------------------------------------------
@@ -63,44 +71,37 @@ bool write_all(int fd, const char* data, std::size_t n) noexcept {
   return true;
 }
 
-/// Durable atomic publish with the three CT_CRASH points wired in: die
+/// util::atomic_write_file with the three CT_CRASH points wired in: die
 /// before any byte, die after a torn prefix of the tmp file, die after the
 /// rename + directory fsync completed.
 bool publish_with_crash_points(const std::string& path,
                                const std::string& contents,
                                const CrashProfile& crash) {
-  CheckpointMetrics& m = checkpoint_metrics();
-  obs::ScopedTimer timer(m.flush_us);
-  m.flushes.inc();
-  m.journal_bytes.inc(contents.size());
+  obs::ScopedTimer timer(checkpoint_metrics().flush_us);
+  count_flush(contents.size());
   const std::uint64_t site = next_crash_site();
   if (crash.fires(CrashPoint::kBeforeWrite, site)) die();
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
   if (crash.fires(CrashPoint::kTornWrite, site)) {
     // A prefix of the write reaches the disk, then the process dies — the
     // tmp never renames, so replay must ignore and GC it.
-    write_all(fd, contents.data(), std::max<std::size_t>(1, contents.size() / 2));
-    ::fsync(fd);
+    const std::string tmp = path + ".tmp";
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd >= 0) {
+      write_all(fd, contents.data(),
+                std::max<std::size_t>(1, contents.size() / 2));
+      ::fsync(fd);
+    }
     die();
   }
-  const bool ok = write_all(fd, contents.data(), contents.size()) &&
-                  ::fsync(fd) == 0;
-  ::close(fd);
-  if (!ok || ::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  const bool synced = util::fsync_parent_dir(path);
-  if (crash.fires(CrashPoint::kAfterWrite, site)) die();
-  return synced;
+  const bool ok = util::atomic_write_file(path, contents);
+  if (ok && crash.fires(CrashPoint::kAfterWrite, site)) die();
+  return ok;
 }
 
 // --- text framing -----------------------------------------------------------
 
-/// Journal/snapshot fields are space-separated; strings are percent-
-/// escaped so an arbitrary error message can never break record framing.
+/// Journal fields are space-separated; strings are percent-escaped so an
+/// arbitrary error message can never break record framing.
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -273,10 +274,7 @@ SweepJournal::SweepJournal(CheckpointOptions options, SweepSpec spec)
     : options_(std::move(options)), spec_(std::move(spec)),
       crash_(options_.crash_spec.empty()
                  ? CrashProfile::from_env()
-                 : CrashProfile::parse(options_.crash_spec)) {
-  if (options_.interval == 0) options_.interval = 1;
-  if (options_.snapshot_every == 0) options_.snapshot_every = 1;
-}
+                 : CrashProfile::parse(options_.crash_spec)) {}
 
 SweepJournal::~SweepJournal() { close(); }
 
@@ -293,16 +291,10 @@ std::string SweepJournal::journal_path() const {
   return options_.dir + "/" + d.hex() + ".jrnl";
 }
 
-std::string SweepJournal::snapshot_path() const {
-  util::Digest d;
-  d.str("ct-sweep-file").str(spec_.digest);
-  return options_.dir + "/" + d.hex() + ".snap";
-}
-
 std::string SweepJournal::header_text() const {
   std::ostringstream out;
   out << "ctjournal " << kFormatVersion << ' ' << spec_.count << ' '
-      << spec_.series.size() << ' ' << epoch_ << '\n';
+      << spec_.series.size() << '\n';
   out << "D " << escape(spec_.digest) << '\n';
   for (const std::string& s : spec_.series) out << "S " << escape(s) << '\n';
   out << "H " << header_checksum() << '\n';
@@ -315,8 +307,7 @@ std::string SweepJournal::header_checksum() const {
       .i64(kFormatVersion)
       .str(spec_.digest)
       .u64(spec_.count)
-      .u64(spec_.series.size())
-      .u64(epoch_);
+      .u64(spec_.series.size());
   for (const std::string& s : spec_.series) d.str(s);
   return d.hex();
 }
@@ -339,28 +330,6 @@ std::string record_checksum(const std::string& header_checksum,
   }
   d.u64(failures.size());
   for (const FailureRecord& f : failures) digest_failure(d, f);
-  return d.hex();
-}
-
-std::string snapshot_checksum(const SweepSpec& spec, std::uint64_t epoch,
-                              const SweepProgress& p) {
-  util::Digest d;
-  d.str("ct-snapshot")
-      .i64(SweepJournal::kFormatVersion)
-      .str(spec.digest)
-      .u64(spec.count)
-      .u64(spec.series.size())
-      .u64(epoch)
-      .u64(p.retries);
-  for (const std::string& s : spec.series) d.str(s);
-  d.u64(p.done.size());
-  for (const auto& [b, e] : p.done) d.u64(b).u64(e);
-  d.u64(p.series.size());
-  for (const SeriesCounts& s : p.series) {
-    for (const std::uint64_t c : s) d.u64(c);
-  }
-  d.u64(p.failures.size());
-  for (const FailureRecord& f : p.failures) digest_failure(d, f);
   return d.hex();
 }
 
@@ -457,262 +426,159 @@ ResumeInfo SweepJournal::load(SweepProgress& progress) {
   ResumeInfo info;
   progress = SweepProgress{};
   progress.series.assign(spec_.series.size(), SeriesCounts{});
+  replayed_.clear();
+  next_seq_ = 1;
   // A crash mid-publish leaves only a ".tmp"; it never renamed, so it is
   // garbage by construction — ignore and collect it.
-  remove_leftover_tmp(snapshot_path());
   remove_leftover_tmp(journal_path());
 
-  const auto corrupt = [&](const std::string& file, const std::string& why) {
-    const util::Error error(util::ErrorCode::kCheckpointCorrupt, "checkpoint",
-                            why + " (" + file + ")");
-    CT_LOG(kError, "checkpoint")
-        << "event=checkpoint_corrupt file=" << file << " reason=" << escape(why)
-        << " action=cold-start";
+  const auto cold = [&](ResumeStatus status, const std::string& detail) {
     progress = SweepProgress{};
     progress.series.assign(spec_.series.size(), SeriesCounts{});
+    replayed_.clear();
+    next_seq_ = 1;
     info = ResumeInfo{};
-    info.status = ResumeStatus::kCorrupt;
-    info.detail = error.what();
+    info.status = status;
+    info.detail = detail;
     return info;
   };
-  const auto stale = [&](const std::string& file, const std::string& why) {
+  const auto corrupt = [&](const std::string& why) {
+    const util::Error error(util::ErrorCode::kCheckpointCorrupt, "checkpoint",
+                            why + " (" + journal_path() + ")");
+    CT_LOG(kError, "checkpoint")
+        << "event=checkpoint_corrupt file=" << journal_path()
+        << " reason=" << escape(why) << " action=cold-start";
+    return cold(ResumeStatus::kCorrupt, error.what());
+  };
+  const auto stale = [&](const std::string& why) {
     CT_LOG(kWarn, "checkpoint")
-        << "event=checkpoint_stale file=" << file << " reason=" << escape(why)
-        << " action=cold-start";
-    progress = SweepProgress{};
-    progress.series.assign(spec_.series.size(), SeriesCounts{});
-    info = ResumeInfo{};
-    info.status = ResumeStatus::kStale;
-    info.detail = why;
-    return info;
+        << "event=checkpoint_stale file=" << journal_path()
+        << " reason=" << escape(why) << " action=cold-start";
+    return cold(ResumeStatus::kStale, why);
   };
 
-  // --- snapshot -------------------------------------------------------------
-  std::uint64_t snap_epoch = 0;
   std::error_code ec;
-  if (fs::exists(snapshot_path(), ec)) {
-    const std::vector<std::string> lines = read_lines(snapshot_path());
-    if (lines.size() < 3) {
-      return corrupt(snapshot_path(), "snapshot too short");
-    }
-    LineReader h(lines[0]);
-    std::uint64_t version = 0, count = 0, nseries = 0, retries = 0, nfail = 0,
-                  nranges = 0;
-    if (h.tok() != "ctsnapshot") {
-      return corrupt(snapshot_path(), "bad snapshot magic");
-    }
-    version = h.u64();
-    count = h.u64();
-    nseries = h.u64();
-    snap_epoch = h.u64();
-    retries = h.u64();
-    nfail = h.u64();
-    nranges = h.u64();
-    if (!h.done()) return corrupt(snapshot_path(), "bad snapshot header");
-    if (version != static_cast<std::uint64_t>(kFormatVersion)) {
-      return stale(snapshot_path(), "snapshot format version mismatch");
-    }
-    std::size_t at = 1;
-    LineReader d(lines[at++]);
-    std::string digest;
-    if (d.tok() != "D" || (digest = d.text(), !d.done())) {
-      return corrupt(snapshot_path(), "bad snapshot digest line");
-    }
-    if (digest != spec_.digest || count != spec_.count ||
-        nseries != spec_.series.size()) {
-      return stale(snapshot_path(),
-                   "snapshot was taken under different sweep inputs");
-    }
-    for (std::size_t s = 0; s < nseries; ++s, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      LineReader sr(lines[at]);
+  if (!fs::exists(journal_path(), ec)) return info;
+  const std::vector<std::string> lines = read_lines(journal_path());
+  // The version token is checked before the header's shape, so a journal
+  // of an older layout reads as stale, not corrupt.
+  LineReader h(lines.empty() ? std::string() : lines[0]);
+  bool header_ok = h.tok() == "ctjournal";
+  const std::uint64_t version = h.u64();
+  if (header_ok && h.ok &&
+      version != static_cast<std::uint64_t>(kFormatVersion)) {
+    return stale("journal format version mismatch");
+  }
+  const std::size_t header_lines = 3 + spec_.series.size();
+  if (lines.size() < header_lines) {
+    // A journal header is published atomically, so a short file can only
+    // be external damage — but with no records at stake, a quiet cold
+    // start is both safe and forgiving.
+    CT_LOG(kWarn, "checkpoint")
+        << "event=checkpoint_replay file=" << journal_path()
+        << " note=truncated-header records=0";
+    return info;
+  }
+  const std::uint64_t count = h.u64();
+  const std::uint64_t nseries = h.u64();
+  header_ok = header_ok && h.done();
+  std::string digest;
+  if (header_ok) {
+    LineReader d(lines[1]);
+    header_ok = d.tok() == "D" && (digest = d.text(), d.done());
+  }
+  std::vector<std::string> series;
+  if (header_ok) {
+    for (std::size_t s = 0; s < nseries; ++s) {
+      if (2 + s >= lines.size()) {
+        header_ok = false;
+        break;
+      }
+      LineReader sr(lines[2 + s]);
       std::string key;
       if (sr.tok() != "S" || (key = sr.text(), !sr.done())) {
-        return corrupt(snapshot_path(), "bad series line");
+        header_ok = false;
+        break;
       }
-      if (key != spec_.series[s]) {
-        return stale(snapshot_path(), "snapshot series keys differ");
-      }
-    }
-    for (std::uint64_t g = 0; g < nranges; ++g, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      LineReader gr(lines[at]);
-      if (gr.tok() != "G") return corrupt(snapshot_path(), "bad range line");
-      const std::uint64_t b = gr.u64();
-      const std::uint64_t e = gr.u64();
-      if (!gr.done() || e > spec_.count || !progress.merge_range(b, e)) {
-        return corrupt(snapshot_path(), "invalid or overlapping range");
-      }
-    }
-    for (std::size_t s = 0; s < nseries; ++s, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      LineReader k(lines[at]);
-      if (k.tok() != "K") return corrupt(snapshot_path(), "bad counts line");
-      for (std::uint64_t& c : progress.series[s]) c = k.u64();
-      if (!k.done()) return corrupt(snapshot_path(), "bad counts line");
-    }
-    for (std::uint64_t f = 0; f < nfail; ++f, ++at) {
-      if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-      FailureRecord record;
-      if (!failure_from_line(lines[at], record)) {
-        return corrupt(snapshot_path(), "bad failure line");
-      }
-      progress.failures.push_back(std::move(record));
-    }
-    progress.retries = retries;
-    if (at >= lines.size()) return corrupt(snapshot_path(), "truncated");
-    LineReader e(lines[at]);
-    if (e.tok() != "E" ||
-        e.tok() != snapshot_checksum(spec_, snap_epoch, progress) ||
-        !e.done()) {
-      return corrupt(snapshot_path(), "snapshot checksum mismatch");
+      series.push_back(std::move(key));
     }
   }
+  std::string checksum;
+  if (header_ok && 2 + nseries < lines.size()) {
+    LineReader c(lines[2 + nseries]);
+    header_ok = c.tok() == "H" && (checksum = c.tok(), c.done());
+  } else {
+    header_ok = false;
+  }
+  if (!header_ok) return corrupt("malformed journal header");
+  if (digest != spec_.digest || count != spec_.count ||
+      series != spec_.series) {
+    return stale("journal was written under different sweep inputs");
+  }
+  if (checksum != header_checksum()) {
+    return corrupt("journal header checksum mismatch");
+  }
 
-  // --- journal --------------------------------------------------------------
-  if (fs::exists(journal_path(), ec)) {
-    const std::vector<std::string> lines = read_lines(journal_path());
-    const std::size_t header_lines = 3 + spec_.series.size();
-    if (lines.size() < header_lines) {
-      // A journal header is published atomically, so a short file can only
-      // be external damage — but with no records at stake, a quiet cold
-      // journal (keeping any snapshot state) is both safe and forgiving.
-      CT_LOG(kWarn, "checkpoint")
+  std::size_t idx = header_lines;
+  while (idx < lines.size()) {
+    if (lines[idx].empty()) {
+      ++idx;
+      continue;
+    }
+    ParsedRecord record;
+    std::size_t next = 0;
+    const RecordParse status = parse_record(
+        lines, idx, spec_.series.size(), checksum, record, next);
+    if (status != RecordParse::kOk) {
+      if (status == RecordParse::kBad &&
+          any_valid_record_after(lines, idx + 1, spec_.series.size(),
+                                 checksum)) {
+        return corrupt("interior journal record is corrupt");
+      }
+      // Torn tail: the crash interrupted the final append. The record
+      // never committed; its range simply gets recomputed, and begin()'s
+      // republish drops its bytes.
+      info.torn_tail_dropped = true;
+      CT_LOG(kInfo, "checkpoint")
           << "event=checkpoint_replay file=" << journal_path()
-          << " note=truncated-header records=0";
-    } else {
-      LineReader h(lines[0]);
-      std::uint64_t version = 0, count = 0, nseries = 0, jrnl_epoch = 0;
-      bool header_ok = h.tok() == "ctjournal";
-      version = h.u64();
-      count = h.u64();
-      nseries = h.u64();
-      jrnl_epoch = h.u64();
-      header_ok = header_ok && h.done() && h.ok;
-      std::string digest;
-      if (header_ok) {
-        LineReader d(lines[1]);
-        header_ok = d.tok() == "D" && (digest = d.text(), d.done());
-      }
-      std::vector<std::string> series;
-      if (header_ok) {
-        for (std::size_t s = 0; s < nseries; ++s) {
-          if (2 + s >= lines.size()) {
-            header_ok = false;
-            break;
-          }
-          LineReader sr(lines[2 + s]);
-          std::string key;
-          if (sr.tok() != "S" || (key = sr.text(), !sr.done())) {
-            header_ok = false;
-            break;
-          }
-          series.push_back(std::move(key));
-        }
-      }
-      std::string checksum;
-      if (header_ok && 2 + nseries < lines.size()) {
-        LineReader c(lines[2 + nseries]);
-        header_ok = c.tok() == "H" && (checksum = c.tok(), c.done());
-      } else {
-        header_ok = false;
-      }
-      if (!header_ok) {
-        return corrupt(journal_path(), "malformed journal header");
-      }
-      if (version != static_cast<std::uint64_t>(kFormatVersion) ||
-          digest != spec_.digest || count != spec_.count ||
-          series != spec_.series) {
-        return stale(journal_path(),
-                     "journal was written under different sweep inputs");
-      }
-      // Recompute the header checksum against the JOURNAL's own epoch.
-      const std::uint64_t saved_epoch = epoch_;
-      epoch_ = jrnl_epoch;
-      const std::string expect = header_checksum();
-      epoch_ = saved_epoch;
-      if (checksum != expect) {
-        return corrupt(journal_path(), "journal header checksum mismatch");
-      }
-      if (jrnl_epoch > snap_epoch) {
-        // The journal claims a snapshot that does not exist (deleted or
-        // rolled back): its records are deltas on unknown state.
-        return corrupt(journal_path(),
-                       "journal epoch is ahead of the snapshot");
-      }
-      if (jrnl_epoch == snap_epoch) {
-        std::size_t idx = header_lines;
-        std::uint64_t expect_seq = 1;
-        while (idx < lines.size()) {
-          if (lines[idx].empty()) {
-            ++idx;
-            continue;
-          }
-          ParsedRecord record;
-          std::size_t next = 0;
-          const RecordParse status =
-              parse_record(lines, idx, spec_.series.size(), checksum, record,
-                           next);
-          if (status != RecordParse::kOk) {
-            if (status == RecordParse::kBad &&
-                any_valid_record_after(lines, idx + 1, spec_.series.size(),
-                                       checksum)) {
-              return corrupt(journal_path(),
-                             "interior journal record is corrupt");
-            }
-            // Torn tail: the crash interrupted the final append. The
-            // record never committed; its range simply gets recomputed.
-            info.torn_tail_dropped = true;
-            CT_LOG(kInfo, "checkpoint")
-                << "event=checkpoint_replay file=" << journal_path()
-                << " note=torn-tail-dropped at_record=" << expect_seq;
-            break;
-          }
-          if (record.seq != expect_seq || record.end > spec_.count ||
-              !progress.merge_range(record.begin, record.end)) {
-            return corrupt(journal_path(),
-                           "journal record sequence/range violation");
-          }
-          for (std::size_t s = 0; s < spec_.series.size(); ++s) {
-            for (std::size_t c = 0; c < 4; ++c) {
-              progress.series[s][c] += record.delta[s][c];
-            }
-          }
-          for (FailureRecord& f : record.failures) {
-            progress.failures.push_back(std::move(f));
-          }
-          progress.retries += record.retries;
-          ++expect_seq;
-          idx = next;
-        }
-      } else {
-        CT_LOG(kInfo, "checkpoint")
-            << "event=checkpoint_replay file=" << journal_path()
-            << " note=pre-snapshot-journal-ignored epoch=" << jrnl_epoch
-            << " snapshot_epoch=" << snap_epoch;
+          << " note=torn-tail-dropped at_record=" << next_seq_;
+      break;
+    }
+    if (record.seq != next_seq_ || record.end > spec_.count ||
+        !progress.merge_range(record.begin, record.end)) {
+      return corrupt("journal record sequence/range violation");
+    }
+    for (std::size_t s = 0; s < spec_.series.size(); ++s) {
+      for (std::size_t c = 0; c < 4; ++c) {
+        progress.series[s][c] += record.delta[s][c];
       }
     }
+    for (FailureRecord& f : record.failures) {
+      progress.failures.push_back(std::move(f));
+    }
+    progress.retries += record.retries;
+    for (; idx < next; ++idx) replayed_.append(lines[idx]).append(1, '\n');
+    ++next_seq_;
   }
 
   std::sort(progress.failures.begin(), progress.failures.end(),
             [](const FailureRecord& a, const FailureRecord& b) {
               return a.realization < b.realization;
             });
-  epoch_ = snap_epoch;
   info.restored = progress.completed();
   info.status =
       info.restored > 0 ? ResumeStatus::kResumed : ResumeStatus::kColdStart;
   if (info.status == ResumeStatus::kResumed) {
     CT_LOG(kInfo, "checkpoint")
         << "event=checkpoint_replay status=resumed restored=" << info.restored
-        << "/" << spec_.count << " failures=" << progress.failures.size()
-        << " epoch=" << snap_epoch
+        << "/" << spec_.count << " records=" << next_seq_ - 1
+        << " failures=" << progress.failures.size()
         << " torn_tail=" << (info.torn_tail_dropped ? 1 : 0);
   }
   return info;
 }
 
-bool SweepJournal::begin(const SweepProgress& progress, bool cold) {
+bool SweepJournal::begin() {
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
   if (ec) {
@@ -720,23 +586,37 @@ bool SweepJournal::begin(const SweepProgress& progress, bool cold) {
                                 << options_.dir << " reason=" << ec.message();
     return false;
   }
-  if (cold) {
-    epoch_ = 0;
-    fs::remove(snapshot_path(), ec);
-    return reset_journal();
+  close();
+  // Cold and warm starts share this path: the header plus whatever records
+  // load() validated (none on a cold, stale or corrupt start). The publish
+  // drops any torn tail, so this run appends only after checked records.
+  const bool published = publish_with_crash_points(
+      journal_path(), header_text() + replayed_, crash_);
+  std::string().swap(replayed_);
+  if (!published) {
+    CT_LOG(kWarn, "checkpoint")
+        << "event=checkpoint_disabled file=" << journal_path()
+        << " reason=journal-publish-failed";
+    return false;
   }
-  // Warm start: compact everything we just replayed into one fresh
-  // snapshot, then reset the journal — the resumed run never appends after
-  // foreign records, and replay length stays bounded by snapshot_every.
-  if (!publish_snapshot(progress)) return false;
-  return reset_journal();
+  ++writes_;
+  fd_ = ::open(journal_path().c_str(), O_WRONLY | O_APPEND);
+  if (fd_ < 0) {
+    CT_LOG(kWarn, "checkpoint")
+        << "event=checkpoint_disabled file=" << journal_path()
+        << " reason=cannot-reopen-journal";
+    return false;
+  }
+  CT_LOG(kInfo, "checkpoint")
+      << "event=checkpoint_write kind=journal-publish records="
+      << next_seq_ - 1;
+  return true;
 }
 
 bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
                           const std::vector<SeriesCounts>& delta,
                           const std::vector<FailureRecord>& slice_failures,
-                          std::uint64_t retries_delta,
-                          const SweepProgress& full) {
+                          std::uint64_t retries_delta) {
   if (fd_ < 0) return false;
   std::ostringstream out;
   out << "R " << next_seq_ << ' ' << begin << ' ' << end << ' '
@@ -751,6 +631,8 @@ bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
       << '\n';
   const std::string record = out.str();
 
+  obs::ScopedTimer timer(checkpoint_metrics().flush_us);
+  count_flush(record.size());
   const std::uint64_t site = next_crash_site();
   if (crash_.fires(CrashPoint::kBeforeWrite, site)) die();
   if (crash_.fires(CrashPoint::kTornWrite, site)) {
@@ -771,67 +653,9 @@ bool SweepJournal::append(std::uint64_t begin, std::uint64_t end,
   ++writes_;
   CT_LOG(kInfo, "checkpoint")
       << "event=checkpoint_write kind=record seq=" << next_seq_ << " range=["
-      << begin << ',' << end << ") bytes=" << record.size()
-      << " completed=" << full.completed() << "/" << spec_.count;
+      << begin << ',' << end << ") bytes=" << record.size();
   if (crash_.fires(CrashPoint::kAfterWrite, site)) die();
   ++next_seq_;
-  if (++records_since_snapshot_ >= options_.snapshot_every) {
-    if (!publish_snapshot(full) || !reset_journal()) return false;
-  }
-  return true;
-}
-
-bool SweepJournal::publish_snapshot(const SweepProgress& full) {
-  const std::uint64_t epoch = epoch_ + 1;
-  std::ostringstream out;
-  out << "ctsnapshot " << kFormatVersion << ' ' << spec_.count << ' '
-      << spec_.series.size() << ' ' << epoch << ' ' << full.retries << ' '
-      << full.failures.size() << ' ' << full.done.size() << '\n';
-  out << "D " << escape(spec_.digest) << '\n';
-  for (const std::string& s : spec_.series) out << "S " << escape(s) << '\n';
-  for (const auto& [b, e] : full.done) out << "G " << b << ' ' << e << '\n';
-  for (const SeriesCounts& s : full.series) {
-    out << "K " << s[0] << ' ' << s[1] << ' ' << s[2] << ' ' << s[3] << '\n';
-  }
-  for (const FailureRecord& f : full.failures) failure_to_stream(out, f);
-  out << "E " << snapshot_checksum(spec_, epoch, full) << '\n';
-
-  if (!publish_with_crash_points(snapshot_path(), out.str(), crash_)) {
-    CT_LOG(kWarn, "checkpoint")
-        << "event=checkpoint_disabled file=" << snapshot_path()
-        << " reason=snapshot-publish-failed";
-    close();
-    return false;
-  }
-  epoch_ = epoch;
-  ++writes_;
-  CT_LOG(kInfo, "checkpoint")
-      << "event=checkpoint_write kind=snapshot epoch=" << epoch
-      << " completed=" << full.completed() << "/" << spec_.count
-      << " failures=" << full.failures.size();
-  return true;
-}
-
-bool SweepJournal::reset_journal() {
-  close();
-  next_seq_ = 1;
-  records_since_snapshot_ = 0;
-  if (!publish_with_crash_points(journal_path(), header_text(), crash_)) {
-    CT_LOG(kWarn, "checkpoint")
-        << "event=checkpoint_disabled file=" << journal_path()
-        << " reason=header-publish-failed";
-    return false;
-  }
-  ++writes_;
-  fd_ = ::open(journal_path().c_str(), O_WRONLY | O_APPEND);
-  if (fd_ < 0) {
-    CT_LOG(kWarn, "checkpoint")
-        << "event=checkpoint_disabled file=" << journal_path()
-        << " reason=cannot-reopen-journal";
-    return false;
-  }
-  CT_LOG(kInfo, "checkpoint")
-      << "event=checkpoint_write kind=journal-reset epoch=" << epoch_;
   return true;
 }
 
@@ -839,7 +663,6 @@ void SweepJournal::finish() {
   close();
   std::error_code ec;
   fs::remove(journal_path(), ec);
-  fs::remove(snapshot_path(), ec);
   util::fsync_parent_dir(journal_path());
   CT_LOG(kInfo, "checkpoint")
       << "event=checkpoint_finish digest=" << escape(spec_.digest)

@@ -1,21 +1,15 @@
 // Crash-consistent checkpoint/resume for ensemble sweeps.
 //
 // A sweep (realizations [0, count) × K outcome series) is made preemption-
-// safe by two files under the checkpoint directory, both keyed by the
-// sweep's content digest (the PR-4 engine-batch digest + the series keys),
-// so a checkpoint taken under different knobs can never be resumed:
-//
-//  * `<digest>.jrnl` — an append-only, record-framed journal. Every
-//    checkpoint interval the sweep appends one checksummed record holding
-//    a completed index range, the per-series outcome-count deltas for that
-//    range, and the PR-6 failure/quarantine records that fell inside it;
-//    the record is fsync'd before the sweep moves on.
-//  * `<digest>.snap` — a periodic atomic snapshot compacting the journal
-//    (full merged state: completed ranges, per-series counts, the whole
-//    failure ledger). Published tmp-write → fsync file → rename → fsync
-//    directory, then the journal is reset with a bumped epoch; a journal
-//    whose epoch predates the snapshot is a strict subset of it and is
-//    ignored on replay.
+// safe by one file under the checkpoint directory, `<digest>.jrnl`, keyed by
+// the sweep's content digest (the PR-4 engine-batch digest + the series
+// keys), so a checkpoint taken under different knobs can never be resumed.
+// It is an append-only, record-framed journal: every checkpoint interval
+// the sweep appends one checksummed record holding a completed index range,
+// the per-series outcome-count deltas for that range, and the PR-6
+// failure/quarantine records that fell inside it; the record is fsync'd
+// before the sweep moves on. Replay length is bounded by count / interval
+// records (8 for the paper sweep at the default interval).
 //
 // Crash model and the atomicity argument (DESIGN.md §12): the process may
 // die at ANY instant (`_exit`, OOM kill, power loss). Because records are
@@ -26,13 +20,16 @@
 // range) cannot be produced by a crash, only by corruption or tampering,
 // and is reported as a typed kCheckpointCorrupt event followed by a cold
 // start — a checkpoint is an accelerator, never a correctness dependency.
+// Every run starts by atomically republishing the header plus the records
+// it validated, so a resumed run appends only after checked records: a
+// torn tail never sits in front of new ones.
 //
 // Replayed state is merged IN ASCENDING RANGE ORDER and all folds are
 // integer count sums, so a resumed sweep is bit-identical at any --jobs
 // value to an uninterrupted one.
 //
-// Deterministic process-death injection: every durable write (journal
-// record, snapshot publish, journal reset) is a numbered crash SITE; the
+// Deterministic process-death injection: every durable write (the journal
+// publish at begin(), each record append) is a numbered crash SITE; the
 // CT_CRASH profile (see fault_profile.h) kills the process before / mid-
 // write (torn) / after a chosen site, which is how the self-exec crash
 // harness proves every instant is recoverable.
@@ -87,8 +84,6 @@ struct CheckpointOptions {
   /// bound); slice boundaries are derived from the MISSING set, so a
   /// resumed run may legally use a different interval.
   std::size_t interval = 128;
-  /// Journal records between snapshot compactions (bounds replay length).
-  std::size_t snapshot_every = 16;
   /// Attempt to resume from existing checkpoint state.
   bool resume = false;
   /// Crash-injection spec: "" defers to the CT_CRASH environment variable,
@@ -138,7 +133,7 @@ struct SweepProgress {
 /// How a resume attempt went.
 enum class ResumeStatus {
   kColdStart,  ///< nothing usable on disk (or resume not requested)
-  kResumed,    ///< snapshot/journal validated and replayed
+  kResumed,    ///< journal validated and replayed
   kStale,      ///< digest/count/series mismatch — different knobs; cold start
   kCorrupt,    ///< interior corruption (typed kCheckpointCorrupt); cold start
 };
@@ -159,65 +154,57 @@ struct ResumeInfo {
 class SweepJournal {
  public:
   /// On-disk format version; bump on any layout or checksum change.
-  static constexpr int kFormatVersion = 1;
+  static constexpr int kFormatVersion = 2;
 
   SweepJournal(CheckpointOptions options, SweepSpec spec);
   ~SweepJournal();
   SweepJournal(const SweepJournal&) = delete;
   SweepJournal& operator=(const SweepJournal&) = delete;
 
-  /// Validates and replays snapshot + journal into `progress` (which must
-  /// arrive empty). Never throws: staleness and corruption are reported in
-  /// the ResumeInfo (and logged as structured events) and leave `progress`
-  /// empty for a cold start.
+  /// Validates and replays the journal into `progress` (which must arrive
+  /// empty), keeping the validated records for begin(). Never throws:
+  /// staleness and corruption are reported in the ResumeInfo (and logged as
+  /// structured events) and leave `progress` empty for a cold start.
   ResumeInfo load(SweepProgress& progress);
 
-  /// Opens the journal for appending. `cold` discards any previous state
-  /// and publishes a fresh header; after a successful load(), pass the
-  /// replayed progress and cold=false to append after the existing
-  /// records. Returns false when the directory/file cannot be prepared
+  /// Atomically publishes the header plus the records load() validated
+  /// (none on a cold, stale or corrupt start), then opens the journal for
+  /// appending. Returns false when the directory/file cannot be prepared
   /// (checkpointing is then off for this run — soft, like the cache).
-  bool begin(const SweepProgress& progress, bool cold);
+  bool begin();
 
   /// Appends one completed-slice record (the DELTA for [begin, end)) and
-  /// fsyncs it; every `snapshot_every` records compacts `full` (the merged
-  /// state INCLUDING this delta) into an atomic snapshot and resets the
-  /// journal. Soft-fails like begin().
+  /// fsyncs it. Soft-fails like begin().
   bool append(std::uint64_t begin, std::uint64_t end,
               const std::vector<SeriesCounts>& delta,
               const std::vector<FailureRecord>& slice_failures,
-              std::uint64_t retries_delta, const SweepProgress& full);
+              std::uint64_t retries_delta);
 
-  /// Sweep fully completed: removes both files (the result now lives in
+  /// Sweep fully completed: removes the journal (the result now lives in
   /// the result cache / the caller's output, not the checkpoint).
   void finish();
 
-  /// Closes the journal fd without removing files (interrupted sweep: the
-  /// state stays on disk for the next --resume). Called by the destructor.
+  /// Closes the journal fd without removing the file (interrupted sweep:
+  /// the state stays on disk for the next --resume). Called by the
+  /// destructor.
   void close();
 
   std::string journal_path() const;
-  std::string snapshot_path() const;
 
-  /// Durable writes performed by THIS run (journal records + snapshots +
-  /// journal resets) — the denominator of checkpoint-overhead accounting.
+  /// Durable writes performed by THIS run (the begin() publish + record
+  /// appends) — the denominator of checkpoint-overhead accounting.
   std::uint64_t writes() const noexcept { return writes_; }
 
  private:
-  bool publish_snapshot(const SweepProgress& full);
-  /// Rewrites the journal to just a header at `epoch_` (atomic publish),
-  /// then reopens it for appending.
-  bool reset_journal();
   std::string header_text() const;
   std::string header_checksum() const;
 
   CheckpointOptions options_;
   SweepSpec spec_;
   CrashProfile crash_;
-  int fd_ = -1;             ///< journal fd (O_APPEND) while open
-  std::uint64_t epoch_ = 0; ///< snapshot epoch the journal is relative to
+  int fd_ = -1;                 ///< journal fd (O_APPEND) while open
+  std::string replayed_;        ///< verbatim text of the validated records
   std::uint64_t next_seq_ = 1;  ///< sequence number of the next record
-  std::uint64_t records_since_snapshot_ = 0;
   std::uint64_t writes_ = 0;
 };
 

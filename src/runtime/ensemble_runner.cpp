@@ -396,8 +396,7 @@ ResumableReport EnsembleRunner::run_resumable(
   if (!ckpt.dir.empty()) {
     journal.emplace(ckpt, live_spec);
     if (ckpt.resume) report.resume = journal->load(progress);
-    const bool cold = report.resume.status != ResumeStatus::kResumed;
-    journal_on = journal->begin(progress, cold);
+    journal_on = journal->begin();
   }
   report.restored = progress.completed();
 
@@ -473,8 +472,8 @@ ResumableReport EnsembleRunner::run_resumable(
       report.executed += n;
 
       if (journal_on) {
-        journal_on = journal->append(b, e, delta, slice_failures,
-                                     run.retries, progress);
+        journal_on =
+            journal->append(b, e, delta, slice_failures, run.retries);
       }
 
       if (ckpt.on_progress) {

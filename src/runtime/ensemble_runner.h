@@ -187,7 +187,7 @@ class EnsembleRunner {
   /// Crash-consistent sweep: generates realizations [0, spec.count) in
   /// slices of ckpt.interval, classifies each survivor into every series
   /// via `outcome`, and journals every completed slice (see checkpoint.h).
-  /// With ckpt.resume set, prior journal/snapshot state is validated and
+  /// With ckpt.resume set, the prior journal is validated and
   /// replayed first and only the MISSING indices run; the merged result is
   /// bit-identical at any --jobs value to an uninterrupted run. Fault
   /// semantics match generate_guarded (the same per-index body and the

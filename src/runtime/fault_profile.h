@@ -84,8 +84,8 @@ struct RuntimeFaultProfile {
 //   before:at=3   die at the 3rd checkpoint site, before any byte is written
 //   torn:at=3     die mid-write: a prefix of the record reaches the disk
 //                 (the torn-tail case replay must silently drop)
-//   after:at=3    die after the full write/fsync (and, for snapshots, after
-//                 the rename + directory fsync) completed
+//   after:at=3    die after the full write/fsync (and, for the journal
+//                 publish, after the rename + directory fsync) completed
 //
 // The site counter increments once per checkpoint flush in execution
 // order, which is deterministic (flushes happen on the sweep thread in
@@ -95,7 +95,7 @@ struct RuntimeFaultProfile {
 /// Where inside a checkpoint flush the process dies.
 enum class CrashPoint {
   kNone = 0,
-  kBeforeWrite,   ///< before any byte of the record/snapshot is written
+  kBeforeWrite,   ///< before any byte of the record/journal is written
   kTornWrite,     ///< after a PREFIX of the record hit the disk
   kAfterWrite,    ///< after write + fsync (+ rename + dir fsync) completed
 };

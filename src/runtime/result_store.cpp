@@ -228,32 +228,8 @@ bool ResultStore::write_disk(const std::string& key,
          << record_checksum(key, value) << "\n";
 
   // Write-then-rename so a concurrent reader sees either the old record or
-  // the complete new one (and a crash mid-write leaves only a .tmp). The
-  // file is fsync'd before the rename and the directory after it: without
-  // the second fsync the rename itself can be lost on power failure,
-  // resurrecting a deleted-or-absent path (the durability hole the crash
-  // harness exercises).
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << record.str();
-    if (!out.flush()) {
-      out.close();
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  if (!util::fsync_file(tmp.string())) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return util::fsync_parent_dir(path.string());
+  // the complete new one (and a crash mid-write leaves only a .tmp).
+  return util::atomic_write_file(path.string(), record.str());
 }
 
 ResultStore::Stats ResultStore::stats() const {

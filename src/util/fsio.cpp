@@ -23,10 +23,6 @@ bool fsync_fd_path(const char* path, int flags) noexcept {
 
 }  // namespace
 
-bool fsync_file(const std::string& path) noexcept {
-  return fsync_fd_path(path.c_str(), O_RDONLY);
-}
-
 bool fsync_parent_dir(const std::string& path) noexcept {
   std::error_code ec;
   fs::path parent = fs::path(path).parent_path();

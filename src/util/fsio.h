@@ -14,10 +14,6 @@
 
 namespace ct::util {
 
-/// fsync(2) the file at `path`. False when the file cannot be opened or
-/// the sync fails (contents may still be in the page cache).
-bool fsync_file(const std::string& path) noexcept;
-
 /// fsync(2) the DIRECTORY containing `path`, making a completed rename of
 /// `path` durable. False on open/sync failure.
 bool fsync_parent_dir(const std::string& path) noexcept;

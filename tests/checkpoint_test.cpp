@@ -1,14 +1,16 @@
 // Crash-consistency tests for the sweep checkpoint layer (PR 7):
 //
 //  * SweepProgress range algebra (merge, coalesce, overlap, missing);
-//  * journal round-trips, torn-tail drop, interior-corruption detection,
-//    stale-digest refusal, snapshot compaction, tmp-file GC;
+//  * journal round-trips, torn-tail drop and republish on resume,
+//    interior-corruption detection, stale-digest and old-format refusal,
+//    tmp-file GC, durable-write metrics;
 //  * run_resumable equivalence with the guarded paths, interrupt + resume
 //    bit-identity across --jobs, resume under CT_FAULT (quarantined
 //    indices must not be re-counted), knob-change cold start;
 //  * the self-exec crash matrix: a child process is killed by CT_CRASH at
-//    EVERY checkpoint site (before / torn / after), relaunched with
-//    resume, and must reproduce the uninterrupted run exactly.
+//    EVERY checkpoint site (before / torn / after) of the cold run and then
+//    of the resumed run, relaunched with resume, and must reproduce the
+//    uninterrupted run exactly.
 //
 // This binary supplies its own main(): when invoked with --crash-child it
 // runs the harness workload instead of gtest (the child is this same
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "core/report.h"
+#include "obs/metrics.h"
 #include "runtime/checkpoint.h"
 #include "runtime/ensemble_runner.h"
 #include "runtime/fault_profile.h"
@@ -78,12 +81,10 @@ runtime::EnsembleOptions make_options(unsigned jobs,
 }
 
 runtime::CheckpointOptions make_ckpt(const std::string& dir,
-                                     std::size_t interval = 8,
-                                     std::size_t snapshot_every = 16) {
+                                     std::size_t interval = 8) {
   runtime::CheckpointOptions ckpt;
   ckpt.dir = dir;
   ckpt.interval = interval;
-  ckpt.snapshot_every = snapshot_every;
   ckpt.crash_spec = "none";  // in-process tests must never _exit
   return ckpt;
 }
@@ -213,8 +214,8 @@ TEST(SweepJournalTest, RoundTripRestoresEverything) {
   runtime::SweepProgress p;
   p.series.assign(2, runtime::SeriesCounts{});
   {
-    runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
-    ASSERT_TRUE(j.begin(p, true));
+    runtime::SweepJournal j(make_ckpt(dir, 10), spec);
+    ASSERT_TRUE(j.begin());
     for (const auto& [b, e] : {std::pair<std::uint64_t, std::uint64_t>{0, 10},
                                {10, 20},
                                {20, 30}}) {
@@ -234,11 +235,11 @@ TEST(SweepJournalTest, RoundTripRestoresEverything) {
         p.failures.push_back(std::move(f));
         p.retries += 2;
       }
-      ASSERT_TRUE(j.append(b, e, delta, failures, b == 10 ? 2 : 0, p));
+      ASSERT_TRUE(j.append(b, e, delta, failures, b == 10 ? 2 : 0));
     }
     j.close();  // interrupted, not finished: files stay
   }
-  runtime::SweepJournal j2(make_ckpt(dir, 10, 100), spec);
+  runtime::SweepJournal j2(make_ckpt(dir, 10), spec);
   runtime::SweepProgress restored;
   const runtime::ResumeInfo info = j2.load(restored);
   EXPECT_EQ(info.status, runtime::ResumeStatus::kResumed);
@@ -254,10 +255,10 @@ TEST(SweepJournalTest, TornTailIsDroppedSilently) {
   p.series.assign(2, runtime::SeriesCounts{});
   std::string journal_path;
   {
-    runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
-    ASSERT_TRUE(j.begin(p, true));
+    runtime::SweepJournal j(make_ckpt(dir, 10), spec);
+    ASSERT_TRUE(j.begin());
     for (std::uint64_t b = 0; b < 30; b += 10) {
-      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0, p));
+      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0));
     }
     journal_path = j.journal_path();
   }
@@ -267,7 +268,7 @@ TEST(SweepJournalTest, TornTailIsDroppedSilently) {
   contents.resize(contents.size() - 10);
   write_file(journal_path, contents);
 
-  runtime::SweepJournal j2(make_ckpt(dir, 10, 100), spec);
+  runtime::SweepJournal j2(make_ckpt(dir, 10), spec);
   runtime::SweepProgress restored;
   const runtime::ResumeInfo info = j2.load(restored);
   EXPECT_EQ(info.status, runtime::ResumeStatus::kResumed);
@@ -285,10 +286,10 @@ TEST(SweepJournalTest, InteriorBitFlipIsTypedCorruptionAndColdStarts) {
   p.series.assign(2, runtime::SeriesCounts{});
   std::string journal_path;
   {
-    runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
-    ASSERT_TRUE(j.begin(p, true));
+    runtime::SweepJournal j(make_ckpt(dir, 10), spec);
+    ASSERT_TRUE(j.begin());
     for (std::uint64_t b = 0; b < 30; b += 10) {
-      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0, p));
+      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0));
     }
     journal_path = j.journal_path();
   }
@@ -303,7 +304,7 @@ TEST(SweepJournalTest, InteriorBitFlipIsTypedCorruptionAndColdStarts) {
   contents[digit] = contents[digit] == '9' ? '8' : '9';
   write_file(journal_path, contents);
 
-  runtime::SweepJournal j2(make_ckpt(dir, 10, 100), spec);
+  runtime::SweepJournal j2(make_ckpt(dir, 10), spec);
   runtime::SweepProgress restored;
   const runtime::ResumeInfo info = j2.load(restored);
   EXPECT_EQ(info.status, runtime::ResumeStatus::kCorrupt);
@@ -319,8 +320,8 @@ TEST(SweepJournalTest, DifferentDigestOrSeriesIsStaleNotCorrupt) {
   p.series.assign(2, runtime::SeriesCounts{});
   {
     runtime::SweepJournal j(make_ckpt(dir), unit_spec("digest-one"));
-    ASSERT_TRUE(j.begin(p, true));
-    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0, p));
+    ASSERT_TRUE(j.begin());
+    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0));
   }
   {
     // Same directory, different sweep digest (changed knobs).
@@ -341,86 +342,109 @@ TEST(SweepJournalTest, DifferentDigestOrSeriesIsStaleNotCorrupt) {
   }
 }
 
-TEST(SweepJournalTest, SnapshotCompactionBoundsReplayAndRestoresAll) {
-  const std::string dir = scratch_dir("compact");
+TEST(SweepJournalTest, ResumeAfterTornTailRepublishesAndAppends) {
+  const std::string dir = scratch_dir("torn-resume");
   const runtime::SweepSpec spec = unit_spec();
-  runtime::SweepProgress p;
-  p.series.assign(2, runtime::SeriesCounts{});
-  std::string journal_path, snapshot_path;
+  std::string journal_path;
   {
-    runtime::SweepJournal j(make_ckpt(dir, 10, /*snapshot_every=*/2), spec);
-    ASSERT_TRUE(j.begin(p, true));
-    for (std::uint64_t b = 0; b < 50; b += 10) {
-      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0, p));
+    runtime::SweepProgress p;
+    p.series.assign(2, runtime::SeriesCounts{});
+    runtime::SweepJournal j(make_ckpt(dir, 10), spec);
+    ASSERT_TRUE(j.begin());
+    for (std::uint64_t b = 0; b < 30; b += 10) {
+      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0));
     }
     journal_path = j.journal_path();
-    snapshot_path = j.snapshot_path();
   }
-  // 5 records, compaction every 2: snapshots after records 2 and 4, so the
-  // journal holds ONLY the one record since — replay length is bounded.
-  EXPECT_TRUE(fs::exists(snapshot_path));
-  const std::string journal = read_file(journal_path);
-  std::size_t records = 0;
-  for (std::size_t at = journal.find("R ", 0); at != std::string::npos;
-       at = journal.find("\nR ", at + 1)) {
-    ++records;
-  }
-  EXPECT_EQ(records, 1u);
+  std::string contents = read_file(journal_path);
+  contents.resize(contents.size() - 10);  // tear record 3
+  write_file(journal_path, contents);
 
-  runtime::SweepJournal j2(make_ckpt(dir, 10, 2), spec);
+  // Resume: records 1-2 survive; begin() republishes them without the torn
+  // bytes, so the new records land after checked ones only.
+  runtime::SweepProgress p;
+  {
+    runtime::SweepJournal j(make_ckpt(dir, 10), spec);
+    const runtime::ResumeInfo info = j.load(p);
+    ASSERT_EQ(info.status, runtime::ResumeStatus::kResumed);
+    ASSERT_TRUE(info.torn_tail_dropped);
+    ASSERT_EQ(info.restored, 20u);
+    ASSERT_TRUE(j.begin());
+    for (std::uint64_t b = 20; b < 50; b += 10) {
+      ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0));
+    }
+    EXPECT_EQ(j.writes(), 4u);  // the republish + 3 records
+  }
+
+  runtime::SweepJournal j2(make_ckpt(dir, 10), spec);
   runtime::SweepProgress restored;
   const runtime::ResumeInfo info = j2.load(restored);
   EXPECT_EQ(info.status, runtime::ResumeStatus::kResumed);
+  EXPECT_FALSE(info.torn_tail_dropped);
   EXPECT_EQ(info.restored, 50u);
   expect_progress_eq(restored, p);
 }
 
-TEST(SweepJournalTest, HalfWrittenSnapshotTmpIsIgnoredAndCollected) {
-  const std::string dir = scratch_dir("snaptmp");
+TEST(SweepJournalTest, OlderFormatVersionIsStaleNotCorrupt) {
+  const std::string dir = scratch_dir("old-format");
+  const runtime::SweepSpec spec = unit_spec();
+  runtime::SweepJournal j(make_ckpt(dir, 10), spec);
+  fs::create_directories(dir);
+  // A version-1 header had a fifth field (the snapshot epoch); its shape
+  // must not matter once the version token says it is another format.
+  write_file(j.journal_path(),
+             "ctjournal 1 100 2 0\nD unit-digest\nS series-a\nS series-b\n"
+             "H 0123456789abcdef\n");
+  runtime::SweepProgress restored;
+  const runtime::ResumeInfo info = j.load(restored);
+  EXPECT_EQ(info.status, runtime::ResumeStatus::kStale) << info.detail;
+  EXPECT_EQ(restored.completed(), 0u);
+}
+
+TEST(SweepJournalTest, HalfWrittenJournalTmpIsIgnoredAndCollected) {
+  const std::string dir = scratch_dir("jrnltmp");
   const runtime::SweepSpec spec = unit_spec();
   runtime::SweepProgress p;
   p.series.assign(2, runtime::SeriesCounts{});
-  std::string snapshot_path;
+  std::string journal_path;
   {
-    runtime::SweepJournal j(make_ckpt(dir, 10, 100), spec);
-    ASSERT_TRUE(j.begin(p, true));
-    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0, p));
-    snapshot_path = j.snapshot_path();
+    runtime::SweepJournal j(make_ckpt(dir, 10), spec);
+    ASSERT_TRUE(j.begin());
+    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0));
+    journal_path = j.journal_path();
   }
-  // A crash mid-snapshot leaves a half-written tmp that never renamed.
-  write_file(snapshot_path + ".tmp", "ctsnapshot 1 100 2 1 0 0");
+  // A crash mid-republish leaves a half-written tmp that never renamed.
+  write_file(journal_path + ".tmp", "ctjournal 2 100 2\nD unit-dig");
 
-  runtime::SweepJournal j2(make_ckpt(dir, 10, 100), spec);
+  runtime::SweepJournal j2(make_ckpt(dir, 10), spec);
   runtime::SweepProgress restored;
   const runtime::ResumeInfo info = j2.load(restored);
   EXPECT_EQ(info.status, runtime::ResumeStatus::kResumed);
   EXPECT_EQ(info.restored, 10u);
-  EXPECT_FALSE(fs::exists(snapshot_path + ".tmp"));  // GC'd
+  EXPECT_FALSE(fs::exists(journal_path + ".tmp"));  // GC'd
 }
 
-TEST(SweepJournalTest, JournalAheadOfMissingSnapshotIsCorrupt) {
-  const std::string dir = scratch_dir("epoch");
-  const runtime::SweepSpec spec = unit_spec();
+TEST(SweepJournalTest, MetricsCountEveryDurableWrite) {
+  if (!obs::enabled()) GTEST_SKIP() << "metrics collection is off";
+  const auto counter = [](const char* name) {
+    const obs::MetricsSnapshot snapshot = obs::capture_metrics();
+    const obs::MetricValue* m = snapshot.find(name);
+    return m != nullptr ? m->value : std::uint64_t{0};
+  };
+  const std::string dir = scratch_dir("metrics");
+  const std::uint64_t flushes_before = counter("checkpoint.flushes");
+  const std::uint64_t bytes_before = counter("checkpoint.journal_bytes");
   runtime::SweepProgress p;
   p.series.assign(2, runtime::SeriesCounts{});
-  std::string snapshot_path;
-  {
-    runtime::SweepJournal j(make_ckpt(dir, 10, /*snapshot_every=*/1), spec);
-    ASSERT_TRUE(j.begin(p, true));
-    ASSERT_TRUE(j.append(0, 10, fold_slice(p, 0, 10), {}, 0, p));
-    ASSERT_TRUE(j.append(10, 20, fold_slice(p, 10, 20), {}, 0, p));
-    snapshot_path = j.snapshot_path();
+  runtime::SweepJournal j(make_ckpt(dir, 10), unit_spec());
+  ASSERT_TRUE(j.begin());
+  for (std::uint64_t b = 0; b < 40; b += 10) {
+    ASSERT_TRUE(j.append(b, b + 10, fold_slice(p, b, b + 10), {}, 0));
   }
-  // The journal's records are deltas on top of the snapshot; with the
-  // snapshot gone they describe unknown state and must not be replayed.
-  ASSERT_TRUE(fs::exists(snapshot_path));
-  fs::remove(snapshot_path);
-
-  runtime::SweepJournal j2(make_ckpt(dir, 10, 1), spec);
-  runtime::SweepProgress restored;
-  const runtime::ResumeInfo info = j2.load(restored);
-  EXPECT_EQ(info.status, runtime::ResumeStatus::kCorrupt);
-  EXPECT_EQ(restored.completed(), 0u);
+  EXPECT_EQ(j.writes(), 5u);  // header + 4 records
+  EXPECT_EQ(counter("checkpoint.flushes") - flushes_before, j.writes());
+  EXPECT_EQ(counter("checkpoint.journal_bytes") - bytes_before,
+            fs::file_size(j.journal_path()));
 }
 
 // --- run_resumable ----------------------------------------------------------
@@ -485,7 +509,7 @@ TEST(RunResumableTest, InterruptAndResumeIsBitIdenticalAcrossJobs) {
   for (const unsigned jobs : job_counts()) {
     const std::string dir =
         scratch_dir("interrupt-jobs" + std::to_string(jobs));
-    const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8, 2);
+    const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8);
 
     // Phase 1: cancel once realization 20 is seen. Cancellation is only
     // honored at slice boundaries, so the active slice completes and is
@@ -536,7 +560,7 @@ TEST(RunResumableTest, ResumeUnderFaultDoesNotRecountQuarantined) {
   ASSERT_EQ(reference.series[0].failures.size(), 6u);
 
   const std::string dir = scratch_dir("fault-resume");
-  const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8, 2);
+  const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8);
   runtime::CancellationToken interrupt;
   runtime::EnsembleRunner partial_runner(make_options(2, fault));
   const runtime::ResumableReport partial = partial_runner.run_resumable(
@@ -572,7 +596,7 @@ TEST(RunResumableTest, ResumeUnderFaultDoesNotRecountQuarantined) {
 TEST(RunResumableTest, ChangedKnobsColdStartLoudly) {
   const surge::RealizationEngine engine = make_engine();
   const std::string dir = scratch_dir("knobs");
-  const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8, 2);
+  const runtime::CheckpointOptions ckpt = make_ckpt(dir, 8);
 
   runtime::CancellationToken interrupt;
   runtime::EnsembleRunner partial_runner(make_options(2));
@@ -620,13 +644,17 @@ TEST(SweepExitCodeTest, InterruptedSweepsExitFive) {
 //
 // The parent spawns THIS binary with --crash-child and a CT_CRASH spec,
 // which kills the child at one exact checkpoint site; the parent then
-// relaunches it with resume (no crash) and compares the result file with
-// an uninterrupted reference. Iterating at=1,2,... until a child finishes
-// without crashing proves EVERY site of a cold sweep is recoverable.
+// relaunches it with resume and compares the result file with an
+// uninterrupted reference. Iterating at=1,2,... until a child finishes
+// without crashing proves EVERY site of a cold sweep is recoverable; for
+// each cold crash, the resumed run is killed the same way at each of its
+// own sites, which proves the resume path's durable writes are too.
 
 constexpr std::size_t kChildCount = 20;
 constexpr std::size_t kChildInterval = 5;
-constexpr std::size_t kChildSnapshotEvery = 2;
+/// Child exit code when its resume found a corrupt checkpoint: a crash
+/// alone must never produce corruption, only a torn tail.
+constexpr int kCorruptExitCode = 9;
 
 /// Runs one child: /proc/self/exe --crash-child ... with CT_CRASH set to
 /// `crash_spec` (empty = unset). Returns the child's exit code.
@@ -697,36 +725,59 @@ void run_crash_matrix(unsigned jobs, const std::string& fault) {
   const std::string expected = reference_text(jobs, fault);
   const std::string dir = scratch_dir("crash-matrix-j" + std::to_string(jobs) +
                                       (fault == "none" ? "" : "-fault"));
+  const std::string saved = dir + "-saved";
   const std::string result_path = dir + "/result.txt";
+  const auto crash_spec = [](const char* kind, std::uint64_t at) {
+    return std::string(kind) + ":at=" + std::to_string(at);
+  };
   for (const char* kind : {"before", "torn", "after"}) {
     std::size_t crashes = 0;
     bool ran_past_last_site = false;
     for (std::uint64_t at = 1; at <= 64 && !ran_past_last_site; ++at) {
       fs::remove_all(dir);
       fs::create_directories(dir);
-      const std::string spec =
-          std::string(kind) + ":at=" + std::to_string(at);
-      const int rc = spawn_child(dir, result_path, jobs, fault, spec);
-      if (rc == runtime::CrashProfile::kExitCode) {
-        ++crashes;
-        // Killed at site `at` — resume must complete and reproduce the
-        // uninterrupted run exactly (histograms AND quarantine ledger).
-        const int resumed = spawn_child(dir, result_path, jobs, fault, "");
-        ASSERT_EQ(resumed, 0) << kind << " at=" << at;
-        EXPECT_EQ(read_file(result_path), expected) << kind << " at=" << at;
-      } else if (rc == 0) {
+      const std::string where = std::string(kind) + " at=" + std::to_string(at);
+      const int rc = spawn_child(dir, result_path, jobs, fault,
+                                 crash_spec(kind, at));
+      if (rc == 0) {
         // `at` is beyond the last site of a cold run: matrix exhausted.
         ran_past_last_site = true;
         EXPECT_EQ(read_file(result_path), expected) << kind << " clean";
-      } else {
-        FAIL() << "unexpected child exit " << rc << " (" << kind
-               << " at=" << at << ")";
+        continue;
       }
+      ASSERT_EQ(rc, runtime::CrashProfile::kExitCode)
+          << "unexpected child exit (" << where << ")";
+      ++crashes;
+      // Killed at cold site `at`. Now kill the resumed run at each of ITS
+      // sites in turn (the republish, then every append), always starting
+      // from the state the cold crash left; the run that outlives its last
+      // site is the plain resume. Every path must reproduce the
+      // uninterrupted run exactly (histograms AND quarantine ledger).
+      fs::remove_all(saved);
+      fs::copy(dir, saved, fs::copy_options::recursive);
+      bool resumed_to_end = false;
+      for (std::uint64_t at2 = 1; at2 <= 64 && !resumed_to_end; ++at2) {
+        fs::remove_all(dir);
+        fs::copy(saved, dir, fs::copy_options::recursive);
+        const std::string where2 = where + " then at=" + std::to_string(at2);
+        const int rc2 = spawn_child(dir, result_path, jobs, fault,
+                                    crash_spec(kind, at2));
+        if (rc2 == runtime::CrashProfile::kExitCode) {
+          const int resumed = spawn_child(dir, result_path, jobs, fault, "");
+          ASSERT_EQ(resumed, 0) << where2;
+        } else {
+          ASSERT_EQ(rc2, 0) << "unexpected child exit (" << where2 << ")";
+          resumed_to_end = true;
+        }
+        EXPECT_EQ(read_file(result_path), expected) << where2;
+      }
+      EXPECT_TRUE(resumed_to_end) << where << ": >64 resumed crash sites?";
     }
     EXPECT_TRUE(ran_past_last_site) << kind << ": >64 crash sites?";
     EXPECT_GE(crashes, 5u) << kind;  // the matrix actually exercised sites
   }
   fs::remove_all(dir);
+  fs::remove_all(saved);
 }
 
 TEST(CrashMatrixTest, EveryCrashSiteIsRecoverableAtJobs1) {
@@ -746,8 +797,8 @@ TEST(CrashMatrixTest, QuarantineLedgerSurvivesCrashAndResume) {
 
 /// Crash-harness child entry: runs the checkpointed sweep (CT_CRASH from
 /// the environment decides where it dies) and writes the result file on
-/// completion. Exit codes: 0 complete, 86 injected crash (via _exit), 1
-/// error.
+/// completion. Exit codes: 0 complete, 86 injected crash (via _exit), 9
+/// resumed from a corrupt checkpoint, 1 error.
 static int run_crash_child(int argc, char** argv) {
   using namespace ct;
   try {
@@ -770,13 +821,15 @@ static int run_crash_child(int argc, char** argv) {
     runtime::CheckpointOptions ckpt;
     ckpt.dir = args["dir"];
     ckpt.interval = kChildInterval;
-    ckpt.snapshot_every = kChildSnapshotEvery;
     ckpt.resume = true;         // cold on a fresh dir, warm after a crash
     ckpt.crash_spec = "";       // defer to CT_CRASH (set by the parent)
 
     const runtime::ResumableReport report = runner.run_resumable(
         make_engine(), child_spec(), classify, ckpt);
     if (report.interrupted) return 7;
+    if (report.resume.status == runtime::ResumeStatus::kCorrupt) {
+      return kCorruptExitCode;
+    }
     util::atomic_write_file(args["result"], result_text(report));
     return 0;
   } catch (const std::exception& e) {

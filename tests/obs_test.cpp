@@ -1,8 +1,7 @@
 // ct_obs acceptance tests: registry shard-fold correctness under TaskPool
 // concurrency (the TSan job runs this suite), log2 histogram bucket
 // boundaries, span ring-buffer overflow accounting, Chrome-trace JSON
-// well-formedness, binary exporter round-trip + exhaustive corruption
-// rejection — and the determinism gate: analyze_resumable() and
+// well-formedness — and the determinism gate: analyze_resumable() and
 // ScadaDes::run() must be bit-identical with observability (metrics + tracing) on and
 // off, at every jobs value the CI matrix exercises.
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include "surge/realization.h"
 #include "terrain/oahu.h"
 #include "threat/scenario.h"
-#include "util/error.h"
 
 namespace ct {
 namespace {
@@ -313,86 +311,6 @@ TEST(ObsTraceTest, ChromeTraceJsonWellFormed) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\""), std::string::npos);
   EXPECT_NE(json.find("droppedSpans"), std::string::npos);
-}
-
-// --- binary exporter -------------------------------------------------------
-
-obs::TraceDump sample_dump() {
-  obs::TraceDump dump;
-  dump.dropped = 3;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    obs::SpanRecord s;
-    s.name = "span_" + std::to_string(i);
-    s.start_ns = 1000 * i;
-    s.dur_ns = 10 + i;
-    s.id = i + 1;
-    s.parent = i;  // chain
-    s.tid = static_cast<std::uint32_t>(i % 2);
-    dump.spans.push_back(s);
-  }
-  return dump;
-}
-
-TEST(ObsTraceTest, BinaryTraceRoundTrip) {
-  const obs::TraceDump dump = sample_dump();
-  const std::string frame = obs::encode_binary_trace(dump);
-  const obs::TraceDump decoded = obs::decode_binary_trace(frame);
-  EXPECT_EQ(decoded.dropped, dump.dropped);
-  ASSERT_EQ(decoded.spans.size(), dump.spans.size());
-  for (std::size_t i = 0; i < dump.spans.size(); ++i) {
-    EXPECT_EQ(decoded.spans[i].name, dump.spans[i].name);
-    EXPECT_EQ(decoded.spans[i].start_ns, dump.spans[i].start_ns);
-    EXPECT_EQ(decoded.spans[i].dur_ns, dump.spans[i].dur_ns);
-    EXPECT_EQ(decoded.spans[i].id, dump.spans[i].id);
-    EXPECT_EQ(decoded.spans[i].parent, dump.spans[i].parent);
-    EXPECT_EQ(decoded.spans[i].tid, dump.spans[i].tid);
-  }
-  // Empty dump round-trips too.
-  const obs::TraceDump empty = obs::decode_binary_trace(
-      obs::encode_binary_trace(obs::TraceDump{}));
-  EXPECT_TRUE(empty.spans.empty());
-  EXPECT_EQ(empty.dropped, 0u);
-}
-
-TEST(ObsTraceTest, EveryHeaderByteCorruptionIsATypedError) {
-  const std::string frame = obs::encode_binary_trace(sample_dump());
-  // Header = magic + version + count + dropped + payload size + payload
-  // digest + header digest. Flip every single byte of it.
-  constexpr std::size_t kHeaderBytes = 4 + 4 + 8 * 5 + 16;
-  ASSERT_GT(frame.size(), kHeaderBytes);
-  for (std::size_t i = 0; i < kHeaderBytes; ++i) {
-    std::string corrupt = frame;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
-    try {
-      obs::decode_binary_trace(corrupt);
-      FAIL() << "header byte " << i << " corruption was accepted";
-    } catch (const ct::Error& e) {
-      EXPECT_EQ(e.code(), ct::ErrorCode::kParse) << "byte " << i;
-      EXPECT_EQ(e.origin(), "obs") << "byte " << i;
-    }
-  }
-}
-
-TEST(ObsTraceTest, PayloadCorruptionTruncationAndTrailingBytesRejected) {
-  const std::string frame = obs::encode_binary_trace(sample_dump());
-  // Flip a payload byte: the payload digest must catch it.
-  {
-    std::string corrupt = frame;
-    corrupt[frame.size() - 3] ^= 0x01;
-    EXPECT_THROW(obs::decode_binary_trace(corrupt), ct::Error);
-  }
-  // Truncate at every boundary that could fool a sloppy reader.
-  for (const std::size_t keep : {std::size_t{0}, std::size_t{3},
-                                 std::size_t{20}, frame.size() - 1}) {
-    try {
-      obs::decode_binary_trace(std::string_view(frame).substr(0, keep));
-      FAIL() << "truncation to " << keep << " bytes was accepted";
-    } catch (const ct::Error& e) {
-      EXPECT_EQ(e.code(), ct::ErrorCode::kParse);
-    }
-  }
-  // Trailing garbage after a valid frame is a length mismatch.
-  EXPECT_THROW(obs::decode_binary_trace(frame + "x"), ct::Error);
 }
 
 // --- determinism gate: obs on/off must be invisible to results -------------
