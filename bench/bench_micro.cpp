@@ -595,6 +595,10 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   }
   const std::string digest =
       runtime::EnsembleRunner::digest_engine_batch(engine(), n);
+  // `ctctl analyze` generates from the engine scoped to the sites.
+  const surge::RealizationEngine scoped =
+      engine().scoped({scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+                       scada::oahu_ids::kDrFortress});
   const auto clean_options = [](unsigned j, bool cache) {
     runtime::EnsembleOptions options = runner_options(j, cache);
     options.fault_spec = "none";
@@ -604,7 +608,8 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   const auto timed = [&](runtime::EnsembleRunner& runner) {
     const auto start = std::chrono::steady_clock::now();
     core::ResumableAnalysis analysis = pipeline.analyze_resumable(
-        cells, engine(), n, runner, digest, runtime::CheckpointOptions{});
+        cells, runtime::fixed_engine(scoped), n, runner, digest,
+        runtime::CheckpointOptions{});
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
@@ -707,7 +712,8 @@ bench::RuntimeBenchRecord micro_runtime_record() {
       runtime::EnsembleRunner sweeper(clean_options(jobs, false));
       const auto start = std::chrono::steady_clock::now();
       const runtime::ResumableReport report =
-          sweeper.run_resumable(engine(), sweep, sweep_outcome, ckpt);
+          sweeper.run_resumable(runtime::fixed_engine(engine()), sweep,
+                                sweep_outcome, ckpt);
       const double seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();

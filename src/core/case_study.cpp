@@ -1,5 +1,7 @@
 #include "core/case_study.h"
 
+#include <algorithm>
+
 #include "scada/oahu.h"
 #include "terrain/oahu.h"
 
@@ -34,6 +36,15 @@ const std::vector<surge::HurricaneRealization>& CaseStudyRunner::realizations() 
 
 const runtime::FailureLedger& CaseStudyRunner::generation_failures() {
   return batch_.ledger;
+}
+
+const surge::RealizationEngine& CaseStudyRunner::scoped_engine(
+    const std::vector<std::string>& site_ids) {
+  auto it = scoped_.find(site_ids);
+  if (it == scoped_.end()) {
+    it = scoped_.emplace(site_ids, engine_.scoped(site_ids)).first;
+  }
+  return it->second;
 }
 
 const std::string& CaseStudyRunner::batch_digest() {
@@ -78,9 +89,23 @@ ResumableAnalysis CaseStudyRunner::run_all_resumable(
       cells.push_back(SweepCell{&config, scenario});
     }
   }
-  return pipeline_.analyze_resumable(cells, engine_, options_.realizations,
-                                     *runtime_, batch_digest(), ckpt,
-                                     interrupt);
+  // A cell reads only asset_failed of its configuration's sites, so the
+  // sweep generates from an engine scoped to their union. The ensemble is
+  // the same, so the keys stay the full engine's batch digest.
+  std::vector<std::string> sites;
+  for (const scada::Configuration& config : configs) {
+    for (const scada::ControlSite& site : config.sites) {
+      sites.push_back(site.asset_id);
+    }
+  }
+  std::sort(sites.begin(), sites.end());
+  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  return pipeline_.analyze_resumable(
+      cells,
+      [this, &sites]() -> const surge::RealizationEngine& {
+        return scoped_engine(sites);
+      },
+      options_.realizations, *runtime_, batch_digest(), ckpt, interrupt);
 }
 
 double CaseStudyRunner::asset_flood_probability(std::string_view asset_id) {

@@ -5,7 +5,9 @@
 // structured.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -64,9 +66,10 @@ class CaseStudyRunner {
       threat::ThreatScenario scenario);
 
   /// Crash-consistent (configurations x scenarios) sweep matrix: every
-  /// realization is generated once and classified into every live cell,
-  /// with completed slices journaled under `ckpt` so a killed or
-  /// interrupted run resumes from where it stopped (bit-identical to an
+  /// realization is generated once, by an engine scoped to the sites the
+  /// configurations place (see scoped_engine), and classified into every
+  /// live cell, with completed slices journaled under `ckpt` so a killed
+  /// or interrupted run resumes from where it stopped (bit-identical to an
   /// uninterrupted run). Results come back in row-major order (config
   /// varies fastest within a scenario). See AnalysisPipeline::
   /// analyze_resumable and runtime/checkpoint.h.
@@ -101,10 +104,16 @@ class CaseStudyRunner {
   const std::string& batch_digest();
   /// The guarded batch (generated on first use).
   const runtime::GeneratedBatch& generated();
+  /// engine().scoped(site_ids), derived on first use per site set and
+  /// kept: neither construction nor a cache hit ever derives it.
+  const surge::RealizationEngine& scoped_engine(
+      const std::vector<std::string>& site_ids);
 
   scada::ScadaTopology topology_;
   CaseStudyOptions options_;
   surge::RealizationEngine engine_;
+  /// Scoped engines by sorted site set (map nodes keep references stable).
+  std::map<std::vector<std::string>, surge::RealizationEngine> scoped_;
   AnalysisPipeline pipeline_;
   /// Null when borrowing; runtime_ then points at the external runner.
   std::unique_ptr<runtime::EnsembleRunner> owned_runtime_;

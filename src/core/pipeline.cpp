@@ -169,7 +169,7 @@ ScenarioResult AnalysisPipeline::analyze_lazy(
 
 ResumableAnalysis AnalysisPipeline::analyze_resumable(
     const std::vector<SweepCell>& cells,
-    const surge::RealizationEngine& engine, std::size_t count,
+    const runtime::EnsembleRunner::EngineFn& engine, std::size_t count,
     runtime::EnsembleRunner& runtime, std::string_view realization_set_digest,
     const runtime::CheckpointOptions& ckpt,
     runtime::CancellationToken* interrupt) const {

@@ -167,13 +167,15 @@ class AnalysisPipeline {
   /// after a final flush (SIGINT/SIGTERM path): the returned analysis then
   /// has interrupted=true and partial distributions, and the on-disk state
   /// feeds the next --resume. See runtime/checkpoint.h for the journal.
-  /// `realization_set_digest` is the content address of the ensemble,
-  /// EnsembleRunner::digest_engine_batch(engine, count); it keys both the
-  /// result cache and the journal (callers cache it: computing it runs one
-  /// realization).
+  /// `engine` is called only when some realization must run (see
+  /// EnsembleRunner::EngineFn); it may return an engine scoped to the
+  /// cells' sites. `realization_set_digest` is the content address of the
+  /// ensemble, EnsembleRunner::digest_engine_batch(full engine, count); it
+  /// keys both the result cache and the journal (callers cache it:
+  /// computing it runs one realization).
   ResumableAnalysis analyze_resumable(
       const std::vector<SweepCell>& cells,
-      const surge::RealizationEngine& engine, std::size_t count,
+      const runtime::EnsembleRunner::EngineFn& engine, std::size_t count,
       runtime::EnsembleRunner& runtime,
       std::string_view realization_set_digest,
       const runtime::CheckpointOptions& ckpt,

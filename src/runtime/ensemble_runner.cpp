@@ -363,7 +363,7 @@ EnsembleReport EnsembleRunner::count_guarded_fresh(
 }
 
 ResumableReport EnsembleRunner::run_resumable(
-    const surge::RealizationEngine& engine, const SweepSpec& spec,
+    const EngineFn& engine_fn, const SweepSpec& spec,
     const MultiOutcomeFn& outcome, const CheckpointOptions& ckpt,
     CancellationToken* interrupt) {
   ResumableReport report;
@@ -385,6 +385,7 @@ ResumableReport EnsembleRunner::run_resumable(
   }
   const std::size_t nseries = live.size();
   if (nseries == 0) return report;
+  const surge::RealizationEngine& engine = engine_fn();
 
   SweepProgress progress;
   progress.series.assign(nseries, SeriesCounts{});

@@ -164,6 +164,9 @@ class EnsembleRunner {
   /// Lazily materializes a guarded batch view (survivors + failure
   /// ledger); only called on a cache miss.
   using BatchFn = std::function<BatchView()>;
+  /// Lazily supplies the engine a sweep generates from; only called when
+  /// some realization must run, so a fully cached sweep never derives it.
+  using EngineFn = std::function<const surge::RealizationEngine&()>;
 
   /// Fault-isolated generation: each realization runs under per-task
   /// exception capture with the options' watchdog/retry policy, the active
@@ -199,8 +202,7 @@ class EnsembleRunner {
   /// spec.series entry is also that series' result-cache key ("" bypasses
   /// the cache): a cached series is served whole and never joins the
   /// sweep, and a series is stored only when the sweep completed it clean.
-  ResumableReport run_resumable(const surge::RealizationEngine& engine,
-                                const SweepSpec& spec,
+  ResumableReport run_resumable(const EngineFn& engine, const SweepSpec& spec,
                                 const MultiOutcomeFn& outcome,
                                 const CheckpointOptions& ckpt,
                                 CancellationToken* interrupt = nullptr);
@@ -264,5 +266,12 @@ class EnsembleRunner {
   TaskPool pool_;
   ResultStore store_;
 };
+
+/// EngineFn for an engine the caller already holds (it must outlive the
+/// sweep).
+inline EnsembleRunner::EngineFn fixed_engine(
+    const surge::RealizationEngine& engine) {
+  return [&engine]() -> const surge::RealizationEngine& { return engine; };
+}
 
 }  // namespace ct::runtime

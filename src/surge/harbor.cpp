@@ -9,6 +9,16 @@
 
 namespace ct::surge {
 
+namespace {
+
+/// The station `d` positions from `i` along the circular shoreline walk of
+/// `n` stations.
+std::size_t walk(std::size_t i, int d, std::size_t n) {
+  return (i + n + static_cast<std::size_t>(d + static_cast<int>(n))) % n;
+}
+
+}  // namespace
+
 std::vector<bool> sheltered_stations(const mesh::CoastalMesh& cm,
                                      const terrain::Terrain& terrain,
                                      const HarborConfig& config) {
@@ -144,13 +154,35 @@ void alongshore_average(std::vector<double>& shore_wse,
     double sum = 0.0;
     int count = 0;
     for (int d = -window; d <= window; ++d) {
-      const std::size_t j =
-          (i + n + static_cast<std::size_t>(d + static_cast<int>(n))) % n;
+      const std::size_t j = walk(i, d, n);
       if (sheltered[j]) continue;
       sum += snapshot[j];
       ++count;
     }
     if (count > 0) shore_wse[i] = sum / count;
+  }
+}
+
+void mark_station_inputs(std::size_t station,
+                         const std::vector<bool>& sheltered,
+                         const std::vector<std::size_t>& source_map,
+                         int window, std::vector<char>& mask) {
+  const std::size_t n = sheltered.size();
+  if (station >= n || source_map.size() != n || mask.size() != n) {
+    throw std::invalid_argument("mark_station_inputs: size mismatch");
+  }
+  // The harbor transfer gives a sheltered station amplification times its
+  // source's averaged value; an exposed station keeps its own.
+  const std::size_t source = sheltered[station] ? source_map[station] : station;
+  // Averaging leaves a sheltered station alone and replaces an exposed one
+  // by the mean of the exposed stations in its window.
+  if (sheltered[source] || window <= 0) {
+    mask[source] = 1;
+    return;
+  }
+  for (int d = -window; d <= window; ++d) {
+    const std::size_t j = walk(source, d, n);
+    if (!sheltered[j]) mask[j] = 1;
   }
 }
 

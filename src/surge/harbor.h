@@ -86,4 +86,15 @@ void alongshore_average(std::vector<double>& shore_wse,
                         const std::vector<bool>& sheltered, int window,
                         std::vector<double>& snapshot);
 
+/// Marks in `mask` (one entry per station) every station whose value,
+/// before alongshore_average(`window`), can reach the value of `station`
+/// after alongshore_average and then apply_harbor_transfer: its harbor
+/// source when sheltered (itself otherwise), and that station's exposed
+/// alongshore window. Both steps read nothing else, so a station left
+/// unmarked cannot move the final value of `station`.
+void mark_station_inputs(std::size_t station,
+                         const std::vector<bool>& sheltered,
+                         const std::vector<std::size_t>& source_map,
+                         int window, std::vector<char>& mask);
+
 }  // namespace ct::surge

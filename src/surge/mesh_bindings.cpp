@@ -51,39 +51,10 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
 
   plan_ = mesh::make_shoreline_plan(cm, smoothing_band_m, smoothing_passes);
 
-  // Active set: the only values the pipeline consumes are the per-station
-  // shoreline values AFTER the averaging passes (alongshore averaging,
-  // harbor transfer, impacts, and max_shoreline_wse_m all read those; the
-  // extension step overwrites onshore nodes). A node's initial envelope
-  // value can reach a shore node only by flowing through smoothing-band
-  // nodes, one hop per pass: S_0 = shore nodes, S_k = S_{k-1} union
-  // neighbors(S_{k-1} intersect band). Everything outside S_passes is
-  // write-only in the legacy pipeline and never surfaces in the output.
-  std::vector<char> active(cm.mesh.node_count(), 0);
-  std::vector<char> in_band(cm.mesh.node_count(), 0);
-  for (const mesh::NodeId n : plan_.band_nodes) in_band[n] = 1;
-  std::vector<mesh::NodeId> frontier;
-  for (const mesh::NodeId n : cm.shore_nodes) {
-    if (!active[n]) {
-      active[n] = 1;
-      frontier.push_back(n);
-    }
-  }
-  std::vector<mesh::NodeId> next;
-  for (int pass = 0; pass < smoothing_passes && !frontier.empty(); ++pass) {
-    next.clear();
-    for (const mesh::NodeId n : frontier) {
-      if (!in_band[n]) continue;  // only band nodes are re-averaged
-      for (const mesh::NodeId m : cm.mesh.neighbors(n)) {
-        if (!active[m]) {
-          active[m] = 1;
-          next.push_back(m);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-
+  // Active set: the full bindings read every station's final shoreline
+  // value, so every shore node seeds the reachability walk.
+  const std::vector<char> active =
+      reachable_nodes(std::vector<char>(cm.stations.size(), 1));
   for (mesh::NodeId n = 0; n < cm.mesh.node_count(); ++n) {
     if (!active[n]) continue;
     const mesh::Node& node = cm.mesh.node(n);
@@ -94,22 +65,10 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     const double depth = std::max(surge_.min_depth_m, -node.elevation_m);
     active_gdepth_.push_back(kGravity * depth);
   }
-
-  prunable_ = true;
-  for (std::size_t k = 0; k < active_nodes_.size(); ++k) {
-    active_extent_ = std::max(
-        active_extent_, geo::distance(active_positions_[k], mesh_center_));
-    onshore_norm_max_ =
-        std::max(onshore_norm_max_, active_onshore_[k].norm());
-    if (!(active_gdepth_[k] > 0.0) || !std::isfinite(active_gdepth_[k])) {
-      prunable_ = false;
-    }
-  }
-  // Triangle-inequality slack: a node's kernel distance can exceed
-  // |center - mesh_center| + |node - mesh_center| only by rounding.
-  active_extent_ *= 1.0 + StepWseBound::kRelativeSlack;
-  if (!std::isfinite(active_extent_) || !std::isfinite(onshore_norm_max_)) {
-    prunable_ = false;
+  fit_pruning();
+  read_stations_.resize(cm.stations.size());
+  for (std::size_t s = 0; s < read_stations_.size(); ++s) {
+    read_stations_[s] = s;
   }
 
   auto index = std::make_shared<AssetIndex>();
@@ -137,6 +96,107 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     stencils_.push_back(s);
   }
   asset_index_ = std::move(index);
+}
+
+std::vector<char> MeshBindings::reachable_nodes(
+    const std::vector<char>& stations) const {
+  // A station's pre-averaging value is its shore node's value AFTER the
+  // smoothing passes (the extension step only writes onshore nodes). A
+  // node's initial envelope value reaches a shore node only by flowing
+  // through smoothing-band nodes, one hop per pass, so everything outside
+  // S_passes is write-only for the stations in `stations`.
+  std::vector<char> active(cm_.mesh.node_count(), 0);
+  std::vector<char> in_band(cm_.mesh.node_count(), 0);
+  for (const mesh::NodeId n : plan_.band_nodes) in_band[n] = 1;
+  std::vector<mesh::NodeId> frontier;
+  for (std::size_t s = 0; s < cm_.shore_nodes.size(); ++s) {
+    const mesh::NodeId n = cm_.shore_nodes[s];
+    if (stations[s] && !active[n]) {
+      active[n] = 1;
+      frontier.push_back(n);
+    }
+  }
+  std::vector<mesh::NodeId> next;
+  for (int pass = 0; pass < plan_.passes && !frontier.empty(); ++pass) {
+    next.clear();
+    for (const mesh::NodeId n : frontier) {
+      if (!in_band[n]) continue;  // only band nodes are re-averaged
+      for (const mesh::NodeId m : cm_.mesh.neighbors(n)) {
+        if (!active[m]) {
+          active[m] = 1;
+          next.push_back(m);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return active;
+}
+
+void MeshBindings::fit_pruning() {
+  active_extent_ = 0.0;
+  onshore_norm_max_ = 0.0;
+  prunable_ = true;
+  for (std::size_t k = 0; k < active_nodes_.size(); ++k) {
+    active_extent_ = std::max(
+        active_extent_, geo::distance(active_positions_[k], mesh_center_));
+    onshore_norm_max_ =
+        std::max(onshore_norm_max_, active_onshore_[k].norm());
+    if (!(active_gdepth_[k] > 0.0) || !std::isfinite(active_gdepth_[k])) {
+      prunable_ = false;
+    }
+  }
+  // Triangle-inequality slack: a node's kernel distance can exceed
+  // |center - mesh_center| + |node - mesh_center| only by rounding.
+  active_extent_ *= 1.0 + StepWseBound::kRelativeSlack;
+  if (!std::isfinite(active_extent_) || !std::isfinite(onshore_norm_max_)) {
+    prunable_ = false;
+  }
+}
+
+MeshBindings MeshBindings::scoped(const std::vector<std::size_t>& assets,
+                                  const std::vector<char>& stations) const {
+  if (stations.size() != cm_.stations.size()) {
+    throw std::invalid_argument("MeshBindings::scoped: station mask size");
+  }
+  MeshBindings out(*this);
+  // The walk from a subset of the shore nodes reaches a subset of this
+  // object's active set, so filtering keeps every array in node order.
+  const std::vector<char> active = reachable_nodes(stations);
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < active_nodes_.size(); ++k) {
+    if (!active[active_nodes_[k]]) continue;
+    out.active_nodes_[kept] = active_nodes_[k];
+    out.active_positions_[kept] = active_positions_[k];
+    out.active_onshore_[kept] = active_onshore_[k];
+    out.active_gdepth_[kept] = active_gdepth_[k];
+    ++kept;
+  }
+  out.active_nodes_.resize(kept);
+  out.active_positions_.resize(kept);
+  out.active_onshore_.resize(kept);
+  out.active_gdepth_.resize(kept);
+  out.fit_pruning();
+
+  auto index = std::make_shared<AssetIndex>();
+  out.asset_ids_.clear();
+  out.asset_ground_m_.clear();
+  out.stencils_.clear();
+  out.read_stations_.clear();
+  for (const std::size_t a : assets) {
+    index->emplace(asset_ids_.at(a),
+                   static_cast<std::uint32_t>(out.asset_ids_.size()));
+    out.asset_ids_.push_back(asset_ids_[a]);
+    out.asset_ground_m_.push_back(asset_ground_m_[a]);
+    out.stencils_.push_back(stencils_[a]);
+    out.read_stations_.push_back(stencils_[a].station);
+  }
+  out.asset_index_ = std::move(index);
+  std::sort(out.read_stations_.begin(), out.read_stations_.end());
+  out.read_stations_.erase(
+      std::unique(out.read_stations_.begin(), out.read_stations_.end()),
+      out.read_stations_.end());
+  return out;
 }
 
 void MeshBindings::accumulate_envelope(const storm::StormTrack& track,

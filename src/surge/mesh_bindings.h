@@ -1,22 +1,27 @@
 // Per-(terrain, mesh config) precompute for the realization hot path.
 //
 // Every one of the 1000 realizations used to re-derive the same facts from
-// the mesh: which nodes can ever influence the shoreline output, each
-// node's onshore direction and depth floor, which station/triangle each
-// asset binds to, and the inland decay factor. MeshBindings freezes all of
-// that once per RealizationEngine (shared read-only across realizations
-// and threads) and exposes allocation-free kernels over the frozen arrays.
+// the mesh: which nodes can ever influence the values the engine reports,
+// each node's onshore direction and depth floor, which station/triangle
+// each asset binds to, and the inland decay factor. MeshBindings freezes
+// all of that once per RealizationEngine (shared read-only across
+// realizations and threads) and exposes allocation-free kernels over the
+// frozen arrays.
 //
 // Equivalence contract: every kernel here is BIT-IDENTICAL to the legacy
-// path it replaces for all values the pipeline consumes. The envelope is
-// only ever read at the smoothing band, its one-hop neighbors, and the
-// shoreline nodes (the extension step overwrites onshore nodes and the
-// output is the per-station shoreline WSE), so `accumulate_envelope`
-// evaluates exactly those nodes with the same IEEE-754 operation sequence
-// the reference SurgeSolver uses and leaves the rest at 0. Within a call it
-// visits storm steps nearest-first and skips node-steps whose radial upper
-// bound (surge/wse_bound.h) cannot raise the running maximum; both leave
-// every written value unchanged. See DESIGN.md §10 for the full argument.
+// path it replaces for all values the bindings' consumers read. Those are
+// the final shoreline values of the read stations (every station for an
+// engine's full bindings; the assets' stencil stations for scoped ones).
+// A station's final value reads the pre-averaging values of its harbor
+// source's alongshore window, and each of those reads the envelope of the
+// nodes within `passes` smoothing hops of the station's shore node (the
+// extension step overwrites onshore nodes). `accumulate_envelope`
+// evaluates exactly those active nodes with the same IEEE-754 operation
+// sequence the reference SurgeSolver uses and leaves the rest at 0. Within
+// a call it visits storm steps nearest-first and skips node-steps whose
+// radial upper bound (surge/wse_bound.h) cannot raise the running maximum;
+// both leave every written value unchanged. See DESIGN.md §10 for the full
+// argument.
 #pragma once
 
 #include <array>
@@ -63,12 +68,22 @@ using AssetIndex = std::unordered_map<std::string, std::uint32_t>;
 
 class MeshBindings {
  public:
-  /// Builds the precompute. `cm`, `mapper`, and `proj` must outlive the
-  /// bindings (the RealizationEngine owns all three).
+  /// Builds the precompute over every shoreline station. `cm` must outlive
+  /// the bindings (the RealizationEngine shares it with them).
   MeshBindings(const mesh::CoastalMesh& cm, const geo::EnuProjection& proj,
                const SurgeConfig& surge, const InundationMapper& mapper,
                const std::vector<ExposedAsset>& assets,
                double smoothing_band_m, int smoothing_passes);
+
+  /// These bindings cut down to `assets` (ascending positions in this
+  /// object's asset list) and to the active nodes that can move the
+  /// pre-averaging value of a station marked in `stations` (one entry per
+  /// station; see mark_station_inputs). The result reads only the stencil
+  /// stations of `assets`. Derived by filtering this object's arrays: it
+  /// shares the mesh, and every value it computes for those stations is
+  /// bit-identical to this object's.
+  MeshBindings scoped(const std::vector<std::size_t>& assets,
+                      const std::vector<char>& stations) const;
 
   /// Writes the MEOW envelope of `track` into `envelope` (resized to the
   /// node count; non-active nodes stay 0). Bit-equal on every consumed
@@ -90,9 +105,14 @@ class MeshBindings {
   double interpolate_at(const mesh::NodeField& field, std::size_t asset) const;
 
   const mesh::ShorelinePlan& shoreline_plan() const noexcept { return plan_; }
-  /// Nodes whose envelope values the pipeline can consume (ascending).
+  /// Nodes whose envelope values can reach a read station (ascending).
   const std::vector<mesh::NodeId>& active_nodes() const noexcept {
     return active_nodes_;
+  }
+  /// Stations whose final shoreline values the bindings' outputs read
+  /// (ascending): every station, or the stencil stations when scoped.
+  const std::vector<std::size_t>& read_stations() const noexcept {
+    return read_stations_;
   }
   const std::vector<AssetStencil>& stencils() const noexcept {
     return stencils_;
@@ -108,6 +128,13 @@ class MeshBindings {
   void digest_into(util::Digest& d) const;
 
  private:
+  /// Nodes whose envelope can reach the shore node of a station marked in
+  /// `stations`: S_0 = those shore nodes, S_k = S_{k-1} union
+  /// neighbors(S_{k-1} intersect band), k up to the smoothing passes.
+  std::vector<char> reachable_nodes(const std::vector<char>& stations) const;
+  /// Refits the pruning geometry to the current active arrays.
+  void fit_pruning();
+
   const mesh::CoastalMesh& cm_;
   SurgeConfig surge_;
   InundationConfig inundation_;
@@ -130,6 +157,7 @@ class MeshBindings {
   std::vector<geo::Vec2> active_positions_;
   std::vector<geo::Vec2> active_onshore_;  ///< -outward_normal of the station
   std::vector<double> active_gdepth_;      ///< kGravity * floored depth
+  std::vector<std::size_t> read_stations_;
 
   std::vector<std::string> asset_ids_;
   std::vector<double> asset_ground_m_;

@@ -22,10 +22,11 @@ const AssetImpact* HurricaneRealization::find_impact(
       if (pos < impacts.size() && impacts[pos].asset_id == id) {
         return &impacts[pos];
       }
-    } else {
-      // The index covers every engine asset, but only trust a miss when
-      // the impacts list still matches the engine's asset count.
-      if (impacts.size() == asset_index->size()) return nullptr;
+    } else if (impacts.size() == asset_index->size()) {
+      // The index covers every engine asset, so with the impacts list still
+      // matching it the id is not one the engine computed.
+      throw util::Error(util::ErrorCode::kInvalidInput, "surge",
+                        "no asset '" + id + "' in the engine's asset list");
     }
   }
   for (const AssetImpact& impact : impacts) {
@@ -64,15 +65,18 @@ const terrain::Terrain& require_terrain(
   return *terrain;
 }
 
-/// Maximum of `values` with a fused finiteness check. A plain max_element
-/// can silently SKIP a NaN (NaN comparisons are false both ways), so the
-/// guard must ride the same scan. Bit-identical to max_element on finite
-/// data. Returns 0 for an empty vector.
-double guarded_max(const std::vector<double>& values, std::uint64_t index,
-                   std::uint64_t base_seed) {
+/// Maximum of `values` at `positions` (ascending) with a fused finiteness
+/// check. A plain max_element can silently SKIP a NaN (NaN comparisons are
+/// false both ways), so the guard must ride the same scan. Bit-identical to
+/// max_element on finite data when `positions` covers every value. Returns
+/// 0 for an empty set.
+double guarded_max(const std::vector<double>& values,
+                   const std::vector<std::size_t>& positions,
+                   std::uint64_t index, std::uint64_t base_seed) {
   double max = 0.0;
   bool first = true;
-  for (const double v : values) {
+  for (const std::size_t p : positions) {
+    const double v = values[p];
     if (!std::isfinite(v)) {
       throw util::Error(util::ErrorCode::kNumeric, "surge",
                         "non-finite shoreline WSE", index, base_seed);
@@ -106,56 +110,107 @@ void validate_realization(const HurricaneRealization& realization,
   }
 }
 
+RealizationEngine::Shared::Shared(
+    std::shared_ptr<const terrain::Terrain> terrain_in,
+    std::vector<ExposedAsset> assets_in, RealizationConfig config_in)
+    : terrain(std::move(terrain_in)), assets(std::move(assets_in)),
+      config(config_in),
+      cm(mesh::build_coastal_mesh(require_terrain(terrain), config.mesh)),
+      generator(config.ensemble), solver(config.surge),
+      mapper(cm, terrain->projection(), config.inundation) {
+  if (config.harbor.enabled) {
+    sheltered = sheltered_stations(cm, *terrain, config.harbor);
+    harbor_sources = harbor_source_map(cm, sheltered);
+  } else {
+    sheltered.assign(cm.stations.size(), false);
+    harbor_sources.resize(cm.stations.size());
+    for (std::size_t i = 0; i < harbor_sources.size(); ++i) {
+      harbor_sources[i] = i;
+    }
+  }
+}
+
 RealizationEngine::RealizationEngine(
     std::shared_ptr<const terrain::Terrain> terrain,
     std::vector<ExposedAsset> assets, RealizationConfig config)
-    : terrain_(std::move(terrain)), assets_(std::move(assets)),
-      config_(config),
-      cm_(mesh::build_coastal_mesh(require_terrain(terrain_), config_.mesh)),
-      generator_(config_.ensemble), solver_(config_.surge),
-      mapper_(cm_, terrain_->projection(), config_.inundation),
-      bindings_(cm_, terrain_->projection(), config_.surge, mapper_, assets_,
-                config_.smoothing_band_m, config_.smoothing_passes) {
-  if (config_.harbor.enabled) {
-    sheltered_ = sheltered_stations(cm_, *terrain_, config_.harbor);
-    harbor_sources_ = harbor_source_map(cm_, sheltered_);
-  } else {
-    sheltered_.assign(cm_.stations.size(), false);
-    harbor_sources_.resize(cm_.stations.size());
-    for (std::size_t i = 0; i < harbor_sources_.size(); ++i) {
-      harbor_sources_[i] = i;
-    }
-  }
-  CT_LOG(kInfo, "surge") << "coastal mesh: " << cm_.mesh.node_count()
-                         << " nodes, " << cm_.mesh.element_count()
-                         << " elements, " << cm_.stations.size()
+    : shared_(std::make_shared<const Shared>(std::move(terrain),
+                                             std::move(assets), config)),
+      scope_(shared_->assets.size()), assets_(shared_->assets),
+      bindings_(shared_->cm, shared_->terrain->projection(),
+                shared_->config.surge, shared_->mapper, shared_->assets,
+                shared_->config.smoothing_band_m,
+                shared_->config.smoothing_passes) {
+  for (std::size_t a = 0; a < scope_.size(); ++a) scope_[a] = a;
+  CT_LOG(kInfo, "surge") << "coastal mesh: " << shared_->cm.mesh.node_count()
+                         << " nodes, " << shared_->cm.mesh.element_count()
+                         << " elements, " << shared_->cm.stations.size()
                          << " shoreline stations, "
                          << bindings_.active_nodes().size()
                          << " active surge nodes";
 }
 
+RealizationEngine::RealizationEngine(std::shared_ptr<const Shared> shared,
+                                     std::vector<std::size_t> scope,
+                                     MeshBindings bindings)
+    : shared_(std::move(shared)), scope_(std::move(scope)),
+      bindings_(std::move(bindings)) {
+  assets_.reserve(scope_.size());
+  for (const std::size_t a : scope_) assets_.push_back(shared_->assets[a]);
+}
+
+RealizationEngine RealizationEngine::scoped(
+    const std::vector<std::string>& site_ids) const {
+  const RealizationConfig& config = shared_->config;
+  std::vector<std::size_t> kept;  // positions in assets_
+  std::vector<std::size_t> scope;  // positions in the full list
+  std::vector<char> stations(shared_->cm.stations.size(), 0);
+  for (std::size_t a = 0; a < assets_.size(); ++a) {
+    if (std::find(site_ids.begin(), site_ids.end(), assets_[a].id) ==
+        site_ids.end()) {
+      continue;
+    }
+    kept.push_back(a);
+    scope.push_back(scope_[a]);
+    mark_station_inputs(bindings_.stencils()[a].station, shared_->sheltered,
+                        shared_->harbor_sources, config.alongshore_window,
+                        stations);
+  }
+  return RealizationEngine(shared_, std::move(scope),
+                           bindings_.scoped(kept, stations));
+}
+
 void RealizationEngine::apply_wind_fragility(const storm::StormTrack& track,
                                              std::uint64_t index,
                                              HurricaneRealization& out) const {
-  const geo::EnuProjection& proj = terrain_->projection();
-  const storm::HollandWindField wind_field(config_.surge.wind_options);
+  const RealizationConfig& config = shared_->config;
+  const geo::EnuProjection& proj = shared_->terrain->projection();
+  const storm::HollandWindField wind_field(config.surge.wind_options);
   util::Rng rng =
-      util::Rng(config_.base_seed, "wind-damage").child("realization", index);
-  for (std::size_t a = 0; a < assets_.size(); ++a) {
-    AssetImpact& impact = out.impacts[a];
-    impact.peak_wind_ms =
-        peak_wind_at(track, proj, proj.to_enu(assets_[a].location),
-                     wind_field, config_.fragility.scan_dt_s);
+      util::Rng(config.base_seed, "wind-damage").child("realization", index);
+  // Walk the FULL asset list so every engine spends one draw per
+  // curve-bearing asset in the same order: bernoulli is one uniform draw,
+  // so an asset outside the scope advances the stream by exactly that and
+  // a kept asset gets the draw the full engine gives it.
+  std::size_t slot = 0;  // next position in scope_
+  for (std::size_t a = 0; a < shared_->assets.size(); ++a) {
     const FragilityCurve* curve = nullptr;
-    switch (assets_[a].exposure_class) {
+    switch (shared_->assets[a].exposure_class) {
       case ExposureClass::kFacility: break;  // wind-hardened building
       case ExposureClass::kPowerPlant:
-        curve = &config_.fragility.power_plant;
+        curve = &config.fragility.power_plant;
         break;
       case ExposureClass::kSubstation:
-        curve = &config_.fragility.substation;
+        curve = &config.fragility.substation;
         break;
     }
+    if (slot == scope_.size() || scope_[slot] != a) {
+      if (curve != nullptr) rng.uniform();
+      continue;
+    }
+    AssetImpact& impact = out.impacts[slot++];
+    impact.peak_wind_ms =
+        peak_wind_at(track, proj, proj.to_enu(shared_->assets[a].location),
+                     wind_field, config.fragility.scan_dt_s);
     if (curve != nullptr) {
       impact.wind_failed =
           rng.bernoulli(damage_probability(*curve, impact.peak_wind_ms));
@@ -170,26 +225,34 @@ HurricaneRealization RealizationEngine::run(std::uint64_t index) const {
   return run(index, scratch);
 }
 
-HurricaneRealization RealizationEngine::run(std::uint64_t index,
-                                            RealizationScratch& scratch) const {
-  const storm::StormTrack track =
-      generator_.generate(config_.base_seed, index);
-  const geo::EnuProjection& proj = terrain_->projection();
-
-  bindings_.accumulate_envelope(track, proj, scratch.envelope);
-  mesh::shoreline_average_and_extend(cm_, bindings_.shoreline_plan(),
-                                     scratch.envelope, scratch.field_scratch);
-  mesh::shoreline_values(cm_, scratch.envelope, scratch.shore_wse);
-  alongshore_average(scratch.shore_wse, sheltered_, config_.alongshore_window,
-                     scratch.station_snapshot);
-  if (config_.sea_level_offset_m != 0.0) {
-    for (double& wse : scratch.shore_wse) wse += config_.sea_level_offset_m;
+void RealizationEngine::shoreline_wse(mesh::NodeField& envelope,
+                                      RealizationScratch& scratch) const {
+  const RealizationConfig& config = shared_->config;
+  const mesh::CoastalMesh& cm = shared_->cm;
+  mesh::shoreline_average_and_extend(cm, bindings_.shoreline_plan(), envelope,
+                                     scratch.field_scratch);
+  mesh::shoreline_values(cm, envelope, scratch.shore_wse);
+  alongshore_average(scratch.shore_wse, shared_->sheltered,
+                     config.alongshore_window, scratch.station_snapshot);
+  if (config.sea_level_offset_m != 0.0) {
+    for (double& wse : scratch.shore_wse) wse += config.sea_level_offset_m;
   }
-  if (config_.harbor.enabled) {
-    apply_harbor_transfer(scratch.shore_wse, sheltered_, harbor_sources_,
-                          config_.harbor.amplification,
+  if (config.harbor.enabled) {
+    apply_harbor_transfer(scratch.shore_wse, shared_->sheltered,
+                          shared_->harbor_sources, config.harbor.amplification,
                           scratch.station_snapshot);
   }
+}
+
+HurricaneRealization RealizationEngine::run(std::uint64_t index,
+                                            RealizationScratch& scratch) const {
+  const RealizationConfig& config = shared_->config;
+  const storm::StormTrack track =
+      shared_->generator.generate(config.base_seed, index);
+
+  bindings_.accumulate_envelope(track, shared_->terrain->projection(),
+                                scratch.envelope);
+  shoreline_wse(scratch.envelope, scratch);
 
   HurricaneRealization out;
   out.index = index;
@@ -198,45 +261,49 @@ HurricaneRealization RealizationEngine::run(std::uint64_t index,
   out.peak_wind_ms = track.peak_surface_wind_ms();
 
   // Optional wind-fragility stage (extension; see fragility.h).
-  if (config_.fragility.enabled) {
+  if (config.fragility.enabled) {
     apply_wind_fragility(track, index, out);
   }
-  out.max_shoreline_wse_m =
-      guarded_max(scratch.shore_wse, index, config_.base_seed);
-  validate_realization(out, config_.base_seed);
+  out.max_shoreline_wse_m = guarded_max(
+      scratch.shore_wse, bindings_.read_stations(), index, config.base_seed);
+  validate_realization(out, config.base_seed);
   return out;
 }
 
 HurricaneRealization RealizationEngine::run_reference(
     std::uint64_t index) const {
+  const RealizationConfig& config = shared_->config;
+  const mesh::CoastalMesh& cm = shared_->cm;
   const storm::StormTrack track =
-      generator_.generate(config_.base_seed, index);
-  const geo::EnuProjection& proj = terrain_->projection();
+      shared_->generator.generate(config.base_seed, index);
+  const geo::EnuProjection& proj = shared_->terrain->projection();
 
-  mesh::NodeField envelope = solver_.max_envelope(cm_, track, proj);
+  mesh::NodeField envelope = shared_->solver.max_envelope(cm, track, proj);
   envelope = mesh::shoreline_average_and_extend(
-      cm_, envelope, config_.smoothing_band_m, config_.smoothing_passes);
-  std::vector<double> shore_wse = mesh::shoreline_values(cm_, envelope);
-  alongshore_average(shore_wse, sheltered_, config_.alongshore_window);
-  if (config_.sea_level_offset_m != 0.0) {
-    for (double& wse : shore_wse) wse += config_.sea_level_offset_m;
+      cm, envelope, config.smoothing_band_m, config.smoothing_passes);
+  std::vector<double> shore_wse = mesh::shoreline_values(cm, envelope);
+  alongshore_average(shore_wse, shared_->sheltered, config.alongshore_window);
+  if (config.sea_level_offset_m != 0.0) {
+    for (double& wse : shore_wse) wse += config.sea_level_offset_m;
   }
-  if (config_.harbor.enabled) {
-    apply_harbor_transfer(shore_wse, sheltered_, harbor_sources_,
-                          config_.harbor.amplification);
+  if (config.harbor.enabled) {
+    apply_harbor_transfer(shore_wse, shared_->sheltered,
+                          shared_->harbor_sources,
+                          config.harbor.amplification);
   }
 
   HurricaneRealization out;
   out.index = index;
-  out.impacts = mapper_.impacts(assets_, shore_wse);
+  out.impacts = shared_->mapper.impacts(assets_, shore_wse);
   out.asset_index = bindings_.asset_index();
   out.peak_wind_ms = track.peak_surface_wind_ms();
 
-  if (config_.fragility.enabled) {
+  if (config.fragility.enabled) {
     apply_wind_fragility(track, index, out);
   }
-  out.max_shoreline_wse_m = guarded_max(shore_wse, index, config_.base_seed);
-  validate_realization(out, config_.base_seed);
+  out.max_shoreline_wse_m = guarded_max(shore_wse, bindings_.read_stations(),
+                                        index, config.base_seed);
+  validate_realization(out, config.base_seed);
   return out;
 }
 

@@ -8,6 +8,10 @@
 //  - run(): the hot path over the MeshBindings precompute — per-step storm
 //    kernel, active-node envelope, in-place smoothing, reusable scratch.
 //  - run_reference(): the original allocating pipeline, kept as the oracle.
+//
+// An engine serves every asset it was built with and every shoreline
+// station. scoped() derives an engine for a few sites that shares the mesh
+// and walks only the nodes those sites can read (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -57,17 +61,25 @@ struct HurricaneRealization {
   std::vector<AssetImpact> impacts;
   /// Peak surface wind of the drawn storm (m/s).
   double peak_wind_ms = 0.0;
-  /// Maximum smoothed shoreline WSE anywhere on the island (m).
+  /// Maximum smoothed shoreline WSE over the engine's read stations (m):
+  /// anywhere on the island for a full engine, over the stencil stations
+  /// of its sites for a scoped one (MeshBindings::read_stations).
   double max_shoreline_wse_m = 0.0;
   /// Shared id -> impacts-position map attached by the engine; lookups
-  /// fall back to a linear scan when absent (e.g. cache-deserialized or
-  /// hand-built realizations).
+  /// fall back to a linear scan when absent (e.g. CSV-loaded or hand-built
+  /// realizations) or when the impacts no longer match it.
   std::shared_ptr<const AssetIndex> asset_index;
+
+  // Lookups by asset id. On an engine-produced realization (index attached,
+  // impacts unfiltered) an id outside the engine's asset list throws
+  // ct::Error{kInvalidInput}: a scoped engine never reports "not failed"
+  // for a site it did not compute. Without a usable index an absent id
+  // reads as not failed / depth 0 (the CSV rule: absent means not flooded).
 
   /// True if the asset with this id failed by FLOODING (the paper's
   /// failure mode). O(1) via asset_index when attached, O(n) otherwise.
   bool asset_failed(const std::string& id) const;
-  /// Inundation depth for this asset id (0 when absent).
+  /// Inundation depth for this asset id.
   double asset_depth(const std::string& id) const;
   /// True if the asset failed by wind damage (extension; false when the
   /// fragility stage is disabled).
@@ -76,7 +88,7 @@ struct HurricaneRealization {
   std::size_t wind_damage_count() const;
 
  private:
-  /// Impact for `id`, or nullptr when absent.
+  /// Impact for `id`; nullptr when absent without a usable index.
   const AssetImpact* find_impact(const std::string& id) const;
 };
 
@@ -110,6 +122,18 @@ class RealizationEngine {
                     std::vector<ExposedAsset> assets,
                     RealizationConfig config = {});
 
+  /// The engine an analysis of `site_ids` needs: this engine's assets with
+  /// those ids, in this engine's order (an id it lacks is skipped, and
+  /// looking it up throws on both engines), over bindings cut to the nodes
+  /// that can move their values (MeshBindings::scoped). It shares this
+  /// engine's mesh, generator, shelter mask and harbor map, so deriving it
+  /// only filters frozen arrays. Every impact field of a kept asset is
+  /// bit-identical to this engine's, wind damage included (the draws walk
+  /// the full asset list); max_shoreline_wse_m covers the read stations
+  /// only. The ensemble is the same, so callers key results by this
+  /// engine's batch digest.
+  RealizationEngine scoped(const std::vector<std::string>& site_ids) const;
+
   /// Runs realization `index` (deterministic in (config.base_seed, index))
   /// on the hot path, reusing a thread-local scratch. Bit-identical to
   /// run_reference.
@@ -128,31 +152,61 @@ class RealizationEngine {
   /// runtime (runtime::EnsembleRunner) is checked against.
   std::vector<HurricaneRealization> run_batch(std::size_t count) const;
 
+  /// The post-envelope stage of run(): smoothing and extension (in place
+  /// on `envelope`), shoreline sampling, alongshore averaging, sea-level
+  /// offset and harbor transfer, leaving the per-station shoreline WSE in
+  /// `scratch.shore_wse`. Exact at the read stations for any envelope that
+  /// is exact on the active nodes.
+  void shoreline_wse(mesh::NodeField& envelope,
+                     RealizationScratch& scratch) const;
+
+  /// The assets this engine reports, in impact order.
   const std::vector<ExposedAsset>& assets() const noexcept { return assets_; }
-  const mesh::CoastalMesh& coastal_mesh() const noexcept { return cm_; }
-  const RealizationConfig& config() const noexcept { return config_; }
-  const terrain::Terrain& terrain() const noexcept { return *terrain_; }
+  const mesh::CoastalMesh& coastal_mesh() const noexcept { return shared_->cm; }
+  const RealizationConfig& config() const noexcept { return shared_->config; }
+  const terrain::Terrain& terrain() const noexcept {
+    return *shared_->terrain;
+  }
   /// Shelter classification of shoreline stations (harbor treatment).
-  const std::vector<bool>& sheltered() const noexcept { return sheltered_; }
+  const std::vector<bool>& sheltered() const noexcept {
+    return shared_->sheltered;
+  }
   /// The per-(terrain, mesh config) precompute shared by all realizations.
   const MeshBindings& bindings() const noexcept { return bindings_; }
 
  private:
+  /// The scope-independent state, built once by the public constructor and
+  /// shared by every engine scoped from it. It lives on the heap and never
+  /// moves, so the references the mapper and the bindings keep into `cm`
+  /// stay valid for any copy or move of an engine.
+  struct Shared {
+    Shared(std::shared_ptr<const terrain::Terrain> terrain,
+           std::vector<ExposedAsset> assets, RealizationConfig config);
+
+    std::shared_ptr<const terrain::Terrain> terrain;
+    std::vector<ExposedAsset> assets;  ///< the full asset list
+    RealizationConfig config;
+    mesh::CoastalMesh cm;
+    storm::TrackGenerator generator;
+    SurgeSolver solver;
+    InundationMapper mapper;
+    std::vector<bool> sheltered;
+    std::vector<std::size_t> harbor_sources;
+  };
+
+  RealizationEngine(std::shared_ptr<const Shared> shared,
+                    std::vector<std::size_t> scope, MeshBindings bindings);
+
   /// Wind-fragility stage shared by both paths (track-scan + sampling).
   void apply_wind_fragility(const storm::StormTrack& track,
                             std::uint64_t index,
                             HurricaneRealization& out) const;
 
-  std::shared_ptr<const terrain::Terrain> terrain_;
+  std::shared_ptr<const Shared> shared_;
+  /// Position of each of assets_ in shared_->assets (ascending).
+  std::vector<std::size_t> scope_;
   std::vector<ExposedAsset> assets_;
-  RealizationConfig config_;
-  mesh::CoastalMesh cm_;
-  storm::TrackGenerator generator_;
-  SurgeSolver solver_;
-  InundationMapper mapper_;
   MeshBindings bindings_;
-  std::vector<bool> sheltered_;
-  std::vector<std::size_t> harbor_sources_;
 };
 
 }  // namespace ct::surge

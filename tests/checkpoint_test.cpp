@@ -486,7 +486,7 @@ TEST(RunResumableTest, ColdRunMatchesGuardedCountsAtAnyJobs) {
     runtime::EnsembleRunner runner(make_options(jobs));
     // No checkpoint dir: plain fused sweep.
     const runtime::ResumableReport report = runner.run_resumable(
-        engine, sweep_spec(), classify, runtime::CheckpointOptions{});
+        runtime::fixed_engine(engine), sweep_spec(), classify, runtime::CheckpointOptions{});
     ASSERT_EQ(report.series.size(), 2u);
     EXPECT_FALSE(report.interrupted);
     EXPECT_EQ(report.executed, kSweepCount);
@@ -504,7 +504,7 @@ TEST(RunResumableTest, InterruptAndResumeIsBitIdenticalAcrossJobs) {
   const surge::RealizationEngine engine = make_engine();
   runtime::EnsembleRunner cold_runner(make_options(1));
   const runtime::ResumableReport reference = cold_runner.run_resumable(
-      engine, sweep_spec(), classify, runtime::CheckpointOptions{});
+      runtime::fixed_engine(engine), sweep_spec(), classify, runtime::CheckpointOptions{});
 
   for (const unsigned jobs : job_counts()) {
     const std::string dir =
@@ -517,7 +517,7 @@ TEST(RunResumableTest, InterruptAndResumeIsBitIdenticalAcrossJobs) {
     runtime::CancellationToken interrupt;
     runtime::EnsembleRunner partial_runner(make_options(jobs));
     const runtime::ResumableReport partial = partial_runner.run_resumable(
-        engine, sweep_spec(),
+        runtime::fixed_engine(engine), sweep_spec(),
         [&](std::size_t series, const surge::HurricaneRealization& r) {
           if (r.index >= 20) interrupt.request_cancel();
           return classify(series, r);
@@ -532,7 +532,7 @@ TEST(RunResumableTest, InterruptAndResumeIsBitIdenticalAcrossJobs) {
     resume_ckpt.resume = true;
     runtime::EnsembleRunner resume_runner(make_options(jobs == 1 ? 8 : 1));
     const runtime::ResumableReport resumed = resume_runner.run_resumable(
-        engine, sweep_spec(), classify, resume_ckpt);
+        runtime::fixed_engine(engine), sweep_spec(), classify, resume_ckpt);
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.resume.status, runtime::ResumeStatus::kResumed);
     EXPECT_GT(resumed.restored, 0u);
@@ -556,7 +556,7 @@ TEST(RunResumableTest, ResumeUnderFaultDoesNotRecountQuarantined) {
   const surge::RealizationEngine engine = make_engine();
   runtime::EnsembleRunner clean_runner(make_options(2, fault));
   const runtime::ResumableReport reference = clean_runner.run_resumable(
-      engine, sweep_spec(), classify, runtime::CheckpointOptions{});
+      runtime::fixed_engine(engine), sweep_spec(), classify, runtime::CheckpointOptions{});
   ASSERT_EQ(reference.series[0].failures.size(), 6u);
 
   const std::string dir = scratch_dir("fault-resume");
@@ -564,7 +564,7 @@ TEST(RunResumableTest, ResumeUnderFaultDoesNotRecountQuarantined) {
   runtime::CancellationToken interrupt;
   runtime::EnsembleRunner partial_runner(make_options(2, fault));
   const runtime::ResumableReport partial = partial_runner.run_resumable(
-      engine, sweep_spec(),
+      runtime::fixed_engine(engine), sweep_spec(),
       [&](std::size_t series, const surge::HurricaneRealization& r) {
         if (r.index >= 20) interrupt.request_cancel();
         return classify(series, r);
@@ -576,7 +576,7 @@ TEST(RunResumableTest, ResumeUnderFaultDoesNotRecountQuarantined) {
   resume_ckpt.resume = true;
   runtime::EnsembleRunner resume_runner(make_options(2, fault));
   const runtime::ResumableReport resumed = resume_runner.run_resumable(
-      engine, sweep_spec(), classify, resume_ckpt);
+      runtime::fixed_engine(engine), sweep_spec(), classify, resume_ckpt);
   EXPECT_EQ(resumed.resume.status, runtime::ResumeStatus::kResumed);
   for (std::size_t s = 0; s < 2; ++s) {
     EXPECT_EQ(resumed.series[s].counts.counts,
@@ -601,7 +601,7 @@ TEST(RunResumableTest, ChangedKnobsColdStartLoudly) {
   runtime::CancellationToken interrupt;
   runtime::EnsembleRunner partial_runner(make_options(2));
   const runtime::ResumableReport partial = partial_runner.run_resumable(
-      engine, sweep_spec("knobs-v1"),
+      runtime::fixed_engine(engine), sweep_spec("knobs-v1"),
       [&](std::size_t series, const surge::HurricaneRealization& r) {
         if (r.index >= 20) interrupt.request_cancel();
         return classify(series, r);
@@ -617,7 +617,7 @@ TEST(RunResumableTest, ChangedKnobsColdStartLoudly) {
   resume_ckpt.resume = true;
   runtime::EnsembleRunner resume_runner(make_options(2));
   const runtime::ResumableReport resumed = resume_runner.run_resumable(
-      engine, sweep_spec("knobs-v2"), classify, resume_ckpt);
+      runtime::fixed_engine(engine), sweep_spec("knobs-v2"), classify, resume_ckpt);
   EXPECT_EQ(resumed.resume.status, runtime::ResumeStatus::kColdStart);
   EXPECT_EQ(resumed.restored, 0u);
   EXPECT_EQ(resumed.executed, kSweepCount);
@@ -716,8 +716,10 @@ runtime::SweepSpec child_spec() {
 
 std::string reference_text(unsigned jobs, const std::string& fault) {
   runtime::EnsembleRunner runner(make_options(jobs, fault));
-  const runtime::ResumableReport report = runner.run_resumable(
-      make_engine(), child_spec(), classify, runtime::CheckpointOptions{});
+  const surge::RealizationEngine engine = make_engine();
+  const runtime::ResumableReport report =
+      runner.run_resumable(runtime::fixed_engine(engine), child_spec(),
+                           classify, runtime::CheckpointOptions{});
   return result_text(report);
 }
 
@@ -824,8 +826,9 @@ static int run_crash_child(int argc, char** argv) {
     ckpt.resume = true;         // cold on a fresh dir, warm after a crash
     ckpt.crash_spec = "";       // defer to CT_CRASH (set by the parent)
 
+    const surge::RealizationEngine engine = make_engine();
     const runtime::ResumableReport report = runner.run_resumable(
-        make_engine(), child_spec(), classify, ckpt);
+        runtime::fixed_engine(engine), child_spec(), classify, ckpt);
     if (report.interrupted) return 7;
     if (report.resume.status == runtime::ResumeStatus::kCorrupt) {
       return kCorruptExitCode;

@@ -24,6 +24,7 @@
 #include "core/report.h"
 #include "runtime/ensemble_runner.h"
 #include "scada/oahu.h"
+#include "service/exec.h"
 #include "surge/realization.h"
 #include "terrain/oahu.h"
 #include "threat/scenario.h"
@@ -114,7 +115,7 @@ TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
 
       runtime::EnsembleRunner runner(make_options(jobs));
       const core::ResumableAnalysis fused = pipeline.analyze_resumable(
-          cells, engine, kRealizations, runner, digest,
+          cells, runtime::fixed_engine(engine), kRealizations, runner, digest,
           runtime::CheckpointOptions{});
       ASSERT_EQ(fused.results.size(), cells.size());
       EXPECT_EQ(fused.executed, kRealizations) << at;
@@ -347,6 +348,82 @@ TEST(EnsembleCaseStudyTest, RunAndResumableShareCacheKeys) {
   const core::ScenarioResult later = runner.run(configs[4], scenario);
   EXPECT_TRUE(later.from_cache);
   expect_same(sweep.results[4], later, "run_all_resumable -> run()");
+}
+
+/// The analyze sweep generates from an engine scoped to its sites, while
+/// run() reads the full engine's batch; both are one ensemble under one
+/// key. A cell the scoped sweep stored is a hit with identical counts for
+/// run(), a cell run() stored is a hit for the sweep, and every count
+/// equals an uncached full-batch run.
+TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
+  const auto configs = scada::paper_configurations(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+      scada::oahu_ids::kDrFortress);
+  const auto all = threat::all_scenarios();
+  const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
+  core::CaseStudyOptions options;
+  options.realizations = 200;
+  options.runtime = make_options(4, /*cache=*/true);
+  core::CaseStudyOptions uncached = options;
+  uncached.runtime = make_options(4);
+
+  core::CaseStudyRunner reference = core::make_oahu_case_study(uncached);
+  core::CaseStudyRunner swept = core::make_oahu_case_study(options);
+  core::CaseStudyRunner batched = core::make_oahu_case_study(options);
+  const core::ResumableAnalysis sweep =
+      swept.run_all_resumable(configs, scenarios, {});
+  ASSERT_EQ(sweep.results.size(), configs.size() * scenarios.size());
+  EXPECT_EQ(sweep.cached_cells, 0u);
+
+  std::size_t cell = 0;
+  std::size_t flooded = 0;
+  for (const threat::ThreatScenario scenario : scenarios) {
+    for (const scada::Configuration& config : configs) {
+      const std::string label =
+          config.name + " / " + std::string(threat::scenario_name(scenario));
+      const core::ScenarioResult want = reference.run(config, scenario);
+      EXPECT_FALSE(want.from_cache) << label;
+      expect_same(want, sweep.results[cell], "scoped sweep " + label);
+      const core::ScenarioResult hit = swept.run(config, scenario);
+      EXPECT_TRUE(hit.from_cache) << label;
+      expect_same(want, hit, "sweep -> run() " + label);
+      EXPECT_FALSE(batched.run(config, scenario).from_cache) << label;
+      flooded += want.outcomes.total() -
+                 want.outcomes.count(threat::OperationalState::kGreen);
+      ++cell;
+    }
+  }
+  EXPECT_GT(flooded, 0u) << "the ensemble must exercise flooded sites";
+
+  const core::ResumableAnalysis served =
+      batched.run_all_resumable(configs, scenarios, {});
+  EXPECT_EQ(served.cached_cells, sweep.results.size());
+  EXPECT_EQ(served.executed, 0u);
+  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
+    expect_same(sweep.results[i], served.results[i],
+                "run() -> sweep cell " + std::to_string(i));
+  }
+}
+
+/// The analyze report over the scoped sweep is byte-identical at --jobs 1
+/// and --jobs 8.
+TEST(EnsembleCaseStudyTest, AnalyzeReportIsByteIdenticalAtJobs1And8) {
+  service::Request request;
+  request.kind = service::RequestKind::kAnalyze;
+  request.realizations = 200;
+  request.no_cache = true;
+  std::vector<std::string> reports;
+  for (const unsigned jobs : {1u, 8u}) {
+    core::CaseStudyOptions defaults;
+    defaults.runtime = make_options(jobs);
+    defaults.runtime.fault_spec = "none";
+    auto runner = service::make_case_study(request, defaults, nullptr);
+    const service::ExecOutcome out = service::execute_request(request, *runner);
+    EXPECT_EQ(out.exit_code, 0) << "jobs " << jobs;
+    reports.push_back(out.output);
+  }
+  EXPECT_FALSE(reports[0].empty());
+  EXPECT_EQ(reports[0], reports[1]);
 }
 
 // --- fault isolation (PR 6) -------------------------------------------------
@@ -597,7 +674,7 @@ TEST(EnsembleGuardedTest, FaultSurfaceIdenticalOnBothShapes) {
 
       runtime::EnsembleRunner stream_runner(options);
       const runtime::ResumableReport stream = stream_runner.run_resumable(
-          engine, spec,
+          runtime::fixed_engine(engine), spec,
           [](std::size_t, const surge::HurricaneRealization& r) {
             return simple_outcome(r);
           },

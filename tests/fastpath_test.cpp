@@ -7,15 +7,19 @@
 // serve stale realizations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "runtime/ensemble_runner.h"
+#include "runtime/task_pool.h"
 #include "scada/configuration.h"
 #include "scada/oahu.h"
 #include "storm/generator.h"
@@ -24,6 +28,7 @@
 #include "terrain/oahu.h"
 #include "terrain/terrain.h"
 #include "util/digest.h"
+#include "util/error.h"
 
 namespace ct {
 namespace {
@@ -75,11 +80,14 @@ void expect_bit_identical(const HurricaneRealization& a,
 
 // ------------------------------------------------- run vs run_reference
 
-TEST(Fastpath, RunMatchesReferenceBitExactAcrossConfigVariants) {
-  struct Variant {
-    const char* name;
-    RealizationConfig config;
-  };
+struct Variant {
+  const char* name;
+  RealizationConfig config;
+};
+
+/// Configuration variants that reshape every stage of the realization
+/// pipeline (shared by the reference and the scope equality tests).
+std::vector<Variant> config_variants() {
   std::vector<Variant> variants;
   variants.push_back({"default", {}});
   {
@@ -154,8 +162,11 @@ TEST(Fastpath, RunMatchesReferenceBitExactAcrossConfigVariants) {
     c.surge.max_considered_distance_m = 60000.0;
     variants.push_back({"considered-distance-60km", c});
   }
+  return variants;
+}
 
-  for (const Variant& v : variants) {
+TEST(Fastpath, RunMatchesReferenceBitExactAcrossConfigVariants) {
+  for (const Variant& v : config_variants()) {
     const RealizationEngine engine(oahu(), oahu_assets(), v.config);
     for (const std::uint64_t index : {0ull, 3ull, 17ull}) {
       expect_bit_identical(
@@ -421,8 +432,18 @@ TEST(Fastpath, AssetIndexAcceleratesLookupsWithIdenticalSemantics) {
     EXPECT_EQ(r.asset_wind_failed(asset.id),
               scan.asset_wind_failed(asset.id));
   }
-  EXPECT_FALSE(r.asset_failed("no-such-asset"));
-  EXPECT_DOUBLE_EQ(r.asset_depth("no-such-asset"), 0.0);
+  // An id outside the engine's asset list is an error, not "not failed".
+  EXPECT_THROW(r.asset_failed("no-such-asset"), Error);
+  EXPECT_THROW(r.asset_depth("no-such-asset"), Error);
+  try {
+    r.asset_wind_failed("no-such-asset");
+    ADD_FAILURE() << "asset_wind_failed of an absent id did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+  }
+  // Without an index (a CSV-loaded realization) absent still means not
+  // flooded.
+  EXPECT_FALSE(scan.asset_failed("no-such-asset"));
 }
 
 TEST(Fastpath, AssetIndexFallsBackWhenImpactsAreFiltered) {
@@ -436,6 +457,214 @@ TEST(Fastpath, AssetIndexFallsBackWhenImpactsAreFiltered) {
   EXPECT_EQ(r.asset_failed(id), r.impacts.front().failed);
   EXPECT_EQ(bits(r.asset_depth(id)),
             bits(r.impacts.front().inundation_depth_m));
+}
+
+// --------------------------------------------------------- scoped engine
+
+/// The site sets an analysis scopes its engine to: the paper's three sites,
+/// all five control and data sites, each of those alone, and two grid
+/// assets whose wind-damage draws sit mid-list (the fragility walk).
+std::vector<std::vector<std::string>> site_scopes() {
+  namespace ids = scada::oahu_ids;
+  std::vector<std::vector<std::string>> out = {
+      {ids::kHonoluluCc, ids::kWaiauCc, ids::kDrFortress},
+      {ids::kHonoluluCc, ids::kWaiauCc, ids::kKaheCc, ids::kDrFortress,
+       ids::kAlohaNap}};
+  const std::vector<std::string> five = out[1];
+  for (const std::string& id : five) out.push_back({id});
+  out.push_back({"honolulu_pp", "koolau_ss"});
+  return out;
+}
+
+/// "" when every impact of `scoped` is bit-equal to the full engine's
+/// impact of the same asset, else the first difference.
+std::string scoped_difference(const HurricaneRealization& full,
+                              const HurricaneRealization& scoped) {
+  if (bits(full.peak_wind_ms) != bits(scoped.peak_wind_ms)) {
+    return "peak_wind_ms";
+  }
+  double max_wse = 0.0;
+  for (std::size_t k = 0; k < scoped.impacts.size(); ++k) {
+    const surge::AssetImpact& y = scoped.impacts[k];
+    const auto x = std::find_if(
+        full.impacts.begin(), full.impacts.end(),
+        [&](const surge::AssetImpact& i) { return i.asset_id == y.asset_id; });
+    if (x == full.impacts.end()) return y.asset_id + " not in the full engine";
+    const std::string at = y.asset_id + ".";
+    if (x->failed != y.failed) return at + "failed";
+    if (bits(x->inundation_depth_m) != bits(y.inundation_depth_m)) {
+      return at + "inundation_depth_m";
+    }
+    if (bits(x->water_level_m) != bits(y.water_level_m)) {
+      return at + "water_level_m";
+    }
+    if (bits(x->shoreline_wse_m) != bits(y.shoreline_wse_m)) {
+      return at + "shoreline_wse_m";
+    }
+    if (x->wind_failed != y.wind_failed) return at + "wind_failed";
+    if (bits(x->peak_wind_ms) != bits(y.peak_wind_ms)) {
+      return at + "peak_wind_ms";
+    }
+    if (x->shoreline_station != y.shoreline_station) {
+      return at + "shoreline_station";
+    }
+    if (full.asset_failed(y.asset_id) != scoped.asset_failed(y.asset_id)) {
+      return at + "asset_failed()";
+    }
+    max_wse = k == 0 ? y.shoreline_wse_m : std::max(max_wse, y.shoreline_wse_m);
+  }
+  // The scoped maximum covers exactly the sites' stencil stations.
+  if (scoped.max_shoreline_wse_m != max_wse) return "max_shoreline_wse_m";
+  return "";
+}
+
+TEST(Fastpath, ScopedEnginesMatchTheFullEngineOnTheirSitesOver1000Realizations) {
+  constexpr std::size_t kCount = 1000;
+  runtime::TaskPool pool;
+  for (const Variant& v : config_variants()) {
+    const RealizationEngine full(oahu(), oahu_assets(), v.config);
+    std::vector<RealizationEngine> scoped;
+    for (const std::vector<std::string>& scope : site_scopes()) {
+      scoped.push_back(full.scoped(scope));
+      ASSERT_EQ(scoped.back().assets().size(), scope.size()) << v.name;
+    }
+    // The scoped engine is its own oracle's equal too.
+    expect_bit_identical(scoped[0].run(3), scoped[0].run_reference(3),
+                         std::string(v.name) + " scoped reference");
+
+    std::atomic<std::size_t> mismatches{0};
+    std::atomic<std::size_t> wind_failures{0};
+    std::mutex mutex;
+    std::vector<std::string> messages;
+    pool.parallel_for_each(kCount, 8, [&](std::size_t i) {
+      const HurricaneRealization want = full.run(i);
+      for (std::size_t s = 0; s < scoped.size(); ++s) {
+        const HurricaneRealization got = scoped[s].run(i);
+        wind_failures += got.wind_damage_count();
+        const std::string why = scoped_difference(want, got);
+        if (why.empty()) continue;
+        if (++mismatches <= 5) {
+          const std::lock_guard<std::mutex> lock(mutex);
+          messages.push_back(std::string(v.name) + " scope " +
+                             std::to_string(s) + " realization " +
+                             std::to_string(i) + ": " + why);
+        }
+      }
+    });
+    for (const std::string& m : messages) ADD_FAILURE() << m;
+    EXPECT_EQ(mismatches.load(), 0u) << v.name;
+    if (v.config.fragility.enabled) {
+      // The draw-order check above must have seen damaged assets.
+      EXPECT_GT(wind_failures.load(), 0u);
+    }
+  }
+}
+
+TEST(Fastpath, RaisingTheEnvelopeOutsideTheScopeMovesNoScopedValue) {
+  constexpr std::uint64_t kCount = 40;
+  for (const Variant& v : config_variants()) {
+    const RealizationEngine full(oahu(), oahu_assets(), v.config);
+    const storm::TrackGenerator generator(v.config.ensemble);
+    const geo::EnuProjection& proj = full.terrain().projection();
+    const std::size_t nodes = full.coastal_mesh().mesh.node_count();
+    std::vector<RealizationEngine> scoped;
+    std::vector<std::vector<char>> inside;
+    for (const std::vector<std::string>& scope : site_scopes()) {
+      scoped.push_back(full.scoped(scope));
+      inside.emplace_back(nodes, 0);
+      for (const mesh::NodeId n : scoped.back().bindings().active_nodes()) {
+        inside.back()[n] = 1;
+      }
+    }
+
+    std::vector<bool> moved(scoped.size(), false);
+    mesh::NodeField envelope;
+    surge::RealizationScratch exact;
+    surge::RealizationScratch raised;
+    std::vector<surge::AssetImpact> exact_impacts;
+    std::vector<surge::AssetImpact> raised_impacts;
+    for (std::uint64_t i = 0; i < kCount; ++i) {
+      const storm::StormTrack track =
+          generator.generate(v.config.base_seed, i);
+      full.bindings().accumulate_envelope(track, proj, envelope);
+      for (std::size_t s = 0; s < scoped.size(); ++s) {
+        exact.envelope = envelope;
+        raised.envelope = envelope;
+        for (std::size_t n = 0; n < nodes; ++n) {
+          if (!inside[s][n]) raised.envelope[n] += 100.0;
+        }
+        scoped[s].shoreline_wse(exact.envelope, exact);
+        scoped[s].shoreline_wse(raised.envelope, raised);
+        moved[s] = moved[s] || exact.shore_wse != raised.shore_wse;
+        scoped[s].bindings().impacts_into(exact.shore_wse, exact_impacts);
+        scoped[s].bindings().impacts_into(raised.shore_wse, raised_impacts);
+        for (std::size_t k = 0; k < exact_impacts.size(); ++k) {
+          const std::string tag = std::string(v.name) + " scope " +
+                                  std::to_string(s) + " realization " +
+                                  std::to_string(i) + " " +
+                                  exact_impacts[k].asset_id;
+          EXPECT_EQ(bits(exact_impacts[k].shoreline_wse_m),
+                    bits(raised_impacts[k].shoreline_wse_m))
+              << tag;
+          EXPECT_EQ(bits(exact_impacts[k].inundation_depth_m),
+                    bits(raised_impacts[k].inundation_depth_m))
+              << tag;
+        }
+      }
+    }
+    // Non-vacuous: the raise did reach stations the scope does not read.
+    for (std::size_t s = 0; s < scoped.size(); ++s) {
+      EXPECT_TRUE(moved[s]) << v.name << " scope " << s;
+    }
+  }
+}
+
+TEST(Fastpath, ScopedBindingsKeepOnlyWhatTheirSitesRead) {
+  namespace ids = scada::oahu_ids;
+  const RealizationEngine full(oahu(), oahu_assets(), {});
+  const std::vector<std::vector<std::string>> scopes = site_scopes();
+  const RealizationEngine paper = full.scoped(scopes[0]);
+  const RealizationEngine five = full.scoped(scopes[1]);
+
+  // Shared mesh; active sets nest strictly: paper within five within full.
+  EXPECT_EQ(&paper.coastal_mesh(), &full.coastal_mesh());
+  const auto& a = paper.bindings().active_nodes();
+  const auto& b = five.bindings().active_nodes();
+  const auto& c = full.bindings().active_nodes();
+  EXPECT_GT(a.size(), 0u);
+  EXPECT_LT(a.size(), b.size());
+  EXPECT_LT(b.size(), c.size());
+  EXPECT_TRUE(std::includes(b.begin(), b.end(), a.begin(), a.end()));
+  EXPECT_TRUE(std::includes(c.begin(), c.end(), b.begin(), b.end()));
+
+  // Assets keep the full engine's order and stencils; the scope reads
+  // exactly their stations.
+  std::vector<std::string> ids_in_order;
+  std::vector<std::size_t> stations;
+  for (std::size_t k = 0; k < full.assets().size(); ++k) {
+    const std::string& id = full.assets()[k].id;
+    if (std::find(scopes[0].begin(), scopes[0].end(), id) == scopes[0].end()) {
+      continue;
+    }
+    ids_in_order.push_back(id);
+    stations.push_back(full.bindings().stencils()[k].station);
+  }
+  std::sort(stations.begin(), stations.end());
+  stations.erase(std::unique(stations.begin(), stations.end()),
+                 stations.end());
+  ASSERT_EQ(paper.assets().size(), ids_in_order.size());
+  for (std::size_t k = 0; k < ids_in_order.size(); ++k) {
+    EXPECT_EQ(paper.assets()[k].id, ids_in_order[k]);
+  }
+  EXPECT_EQ(paper.bindings().read_stations(), stations);
+  EXPECT_EQ(full.bindings().read_stations().size(),
+            full.coastal_mesh().stations.size());
+
+  // A site outside the scope throws; an unknown id is simply not kept.
+  const HurricaneRealization r = paper.run(0);
+  EXPECT_NO_THROW(r.asset_failed(ids::kHonoluluCc));
+  EXPECT_THROW(r.asset_failed(ids::kKaheCc), Error);
+  EXPECT_TRUE(full.scoped({"no-such-asset"}).assets().empty());
 }
 
 // ------------------------------------------------------- bindings shape

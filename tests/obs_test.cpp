@@ -347,7 +347,7 @@ core::ScenarioResult analyze_once(unsigned jobs) {
   core::ResumableAnalysis analysis = pipeline.analyze_resumable(
       {core::SweepCell{&scada_config,
                        threat::ThreatScenario::kHurricaneIntrusionIsolation}},
-      engine, 32, runtime, "obs-determinism-gate",
+      runtime::fixed_engine(engine), 32, runtime, "obs-determinism-gate",
       runtime::CheckpointOptions{});
   return std::move(analysis.results.at(0));
 }

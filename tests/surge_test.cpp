@@ -15,6 +15,7 @@
 #include "surge/surge_model.h"
 #include "surge/wse_bound.h"
 #include "terrain/oahu.h"
+#include "util/error.h"
 
 namespace ct::surge {
 namespace {
@@ -274,8 +275,9 @@ TEST(RealizationEngine, HelpersLookUpById) {
                                  topo.exposed_assets(), {});
   const HurricaneRealization r = engine.run(2);
   EXPECT_GE(r.asset_depth(scada::oahu_ids::kHonoluluCc), 0.0);
-  EXPECT_FALSE(r.asset_failed("no-such-asset"));
-  EXPECT_DOUBLE_EQ(r.asset_depth("no-such-asset"), 0.0);
+  // An id the engine never computed is an error, not "not flooded".
+  EXPECT_THROW(r.asset_failed("no-such-asset"), Error);
+  EXPECT_THROW(r.asset_depth("no-such-asset"), Error);
 }
 
 TEST(RealizationEngine, NullTerrainRejected) {
