@@ -34,7 +34,6 @@
 #include "storm/generator.h"
 #include "storm/holland.h"
 #include "surge/realization.h"
-#include "surge/surge_model.h"
 #include "terrain/oahu.h"
 #include "threat/attacker.h"
 #include "util/rng.h"
@@ -96,14 +95,17 @@ void BM_CoastalMeshBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CoastalMeshBuild)->Unit(benchmark::kMillisecond);
 
+/// The surge kernel: the envelope of one storm over the engine's active
+/// nodes, into a reused field.
 void BM_SurgeEnvelope(benchmark::State& state) {
-  const auto cm = mesh::build_coastal_mesh(oahu(), mesh::CoastalMeshConfig{});
   const storm::TrackGenerator generator{storm::TrackEnsembleConfig{}};
   const storm::StormTrack track = generator.generate(1, 0);
-  const surge::SurgeSolver solver;
+  mesh::NodeField envelope;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        solver.max_envelope(cm, track, oahu().projection()));
+    engine().bindings().accumulate_envelope(
+        track, engine().terrain().projection(), envelope);
+    benchmark::DoNotOptimize(envelope.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SurgeEnvelope)->Unit(benchmark::kMillisecond);
@@ -115,16 +117,6 @@ void BM_FullRealization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullRealization)->Unit(benchmark::kMillisecond);
-
-/// The legacy allocating pipeline — the denominator of the hot-path
-/// speedup tracked in BENCH_surge.json.
-void BM_FullRealizationReference(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine().run_reference(i++));
-  }
-}
-BENCHMARK(BM_FullRealizationReference)->Unit(benchmark::kMillisecond);
 
 /// In-place shoreline smoothing over the frozen plan (the copy of the
 /// source envelope is part of the measured loop but is trivial next to
@@ -739,114 +731,9 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   return record;
 }
 
-/// True when the two realizations agree on every bit the pipeline reads.
-bool bit_identical(const surge::HurricaneRealization& a,
-                   const surge::HurricaneRealization& b) {
-  if (a.index != b.index || a.peak_wind_ms != b.peak_wind_ms ||
-      a.max_shoreline_wse_m != b.max_shoreline_wse_m ||
-      a.impacts.size() != b.impacts.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.impacts.size(); ++i) {
-    const auto& x = a.impacts[i];
-    const auto& y = b.impacts[i];
-    if (x.asset_id != y.asset_id || x.shoreline_station != y.shoreline_station ||
-        x.shoreline_wse_m != y.shoreline_wse_m ||
-        x.water_level_m != y.water_level_m ||
-        x.inundation_depth_m != y.inundation_depth_m || x.failed != y.failed ||
-        x.peak_wind_ms != y.peak_wind_ms || x.wind_failed != y.wind_failed) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Times the realization hot path against the legacy pipeline (cold, same
-/// indices), checks bit-identity, and isolates the two post-processing
-/// kernels. Merged into BENCH_surge.json.
-bench::SurgeBenchRecord micro_surge_record() {
-  const std::size_t n = std::min<std::size_t>(bench::bench_realizations(), 100);
-  const auto& eng = engine();
-
-  const auto now = [] { return std::chrono::steady_clock::now(); };
-  const auto per_call_ms = [](auto start, auto end, std::size_t calls) {
-    return std::chrono::duration<double, std::milli>(end - start).count() /
-           static_cast<double>(calls);
-  };
-
-  std::vector<surge::HurricaneRealization> reference;
-  reference.reserve(n);
-  const auto ref_start = now();
-  for (std::uint64_t i = 0; i < n; ++i) reference.push_back(eng.run_reference(i));
-  const auto ref_end = now();
-
-  surge::RealizationScratch scratch;
-  bool identical = true;
-  const auto fast_start = now();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const surge::HurricaneRealization fast = eng.run(i, scratch);
-    identical = identical && bit_identical(fast, reference[i]);
-  }
-  const auto fast_end = now();
-
-  const auto& bindings = eng.bindings();
-  const storm::TrackGenerator generator{eng.config().ensemble};
-  const storm::StormTrack track = generator.generate(eng.config().base_seed, 0);
-  mesh::NodeField envelope;
-  bindings.accumulate_envelope(track, eng.terrain().projection(), envelope);
-
-  constexpr std::size_t kKernelReps = 2000;
-  mesh::NodeField field, field_scratch;
-  const auto smooth_start = now();
-  for (std::size_t i = 0; i < kKernelReps; ++i) {
-    field = envelope;
-    mesh::shoreline_average_and_extend(eng.coastal_mesh(),
-                                       bindings.shoreline_plan(), field,
-                                       field_scratch);
-  }
-  const auto smooth_end = now();
-
-  std::vector<double> shore_wse;
-  mesh::shoreline_values(eng.coastal_mesh(), field, shore_wse);
-  std::vector<surge::AssetImpact> impacts;
-  const auto bind_start = now();
-  for (std::size_t i = 0; i < kKernelReps; ++i) {
-    bindings.impacts_into(shore_wse, impacts);
-  }
-  const auto bind_end = now();
-
-  bench::SurgeBenchRecord record;
-  record.name = "bench_micro";
-  record.realizations = n;
-  record.reference_ms = per_call_ms(ref_start, ref_end, n);
-  record.fast_ms = per_call_ms(fast_start, fast_end, n);
-  record.smoothing_ms = per_call_ms(smooth_start, smooth_end, kKernelReps);
-  record.asset_bind_ms = per_call_ms(bind_start, bind_end, kKernelReps);
-  record.active_nodes = bindings.active_nodes().size();
-  record.mesh_nodes = eng.coastal_mesh().mesh.node_count();
-  record.identical = identical;
-  return record;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::SurgeBenchRecord surge_record = micro_surge_record();
-  bench::write_surge_bench_record(surge_record);
-  std::cout << "realization hot path (" << surge_record.realizations
-            << " cold realizations): reference "
-            << util::format_fixed(surge_record.reference_ms, 2)
-            << " ms, fast " << util::format_fixed(surge_record.fast_ms, 2)
-            << " ms (" << util::format_fixed(surge_record.speedup(), 2)
-            << "x), smoothing "
-            << util::format_fixed(surge_record.smoothing_ms * 1000.0, 1)
-            << " us, asset bind "
-            << util::format_fixed(surge_record.asset_bind_ms * 1000.0, 1)
-            << " us, active " << surge_record.active_nodes << "/"
-            << surge_record.mesh_nodes << " nodes, "
-            << (surge_record.identical ? "bit-identical" : "NOT IDENTICAL")
-            << "; recorded in BENCH_surge.json\n";
-
   const bench::DesBenchRecord des_record = micro_des_record();
   bench::write_des_bench_record(des_record);
   std::cout << "DES engine (" << des_record.runs << " runs, "
@@ -908,8 +795,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return record.identical && surge_record.identical && obs_record.identical &&
-                 obs_cheap
-             ? 0
-             : 1;
+  return record.identical && obs_record.identical && obs_cheap ? 0 : 1;
 }

@@ -66,22 +66,6 @@ std::string record_json(const RuntimeBenchRecord& r) {
   return out.str();
 }
 
-std::string record_json(const SurgeBenchRecord& r) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out << '"' << r.name << "\": {"
-      << "\"realizations\": " << r.realizations << std::setprecision(4)
-      << ", \"reference_ms\": " << r.reference_ms
-      << ", \"fast_ms\": " << r.fast_ms
-      << ", \"smoothing_ms\": " << r.smoothing_ms
-      << ", \"asset_bind_ms\": " << r.asset_bind_ms << std::setprecision(3)
-      << ", \"speedup\": " << r.speedup()
-      << ", \"active_nodes\": " << r.active_nodes
-      << ", \"mesh_nodes\": " << r.mesh_nodes
-      << ", \"identical\": " << (r.identical ? "true" : "false") << '}';
-  return out.str();
-}
-
 std::string record_json(const DesBenchRecord& r) {
   std::ostringstream out;
   out.setf(std::ios::fixed);
@@ -208,11 +192,6 @@ void merge_record_line(const std::string& path, const std::string& name,
 
 void write_runtime_bench_record(const RuntimeBenchRecord& record,
                                 const std::string& path) {
-  merge_record_line(path, record.name, stamped(record_json(record)));
-}
-
-void write_surge_bench_record(const SurgeBenchRecord& record,
-                              const std::string& path) {
   merge_record_line(path, record.name, stamped(record_json(record)));
 }
 

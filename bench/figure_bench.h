@@ -89,30 +89,6 @@ struct RuntimeBenchRecord {
 void write_runtime_bench_record(const RuntimeBenchRecord& record,
                                 const std::string& path = "BENCH_runtime.json");
 
-/// Realization hot-path timings, recorded by bench_micro: the legacy
-/// allocating pipeline vs the MeshBindings fast path, plus the two
-/// post-processing kernels the fast path made allocation-free.
-struct SurgeBenchRecord {
-  std::string name;              ///< record key ("bench_micro")
-  std::size_t realizations = 0;  ///< cold realizations timed per variant
-  double reference_ms = 0.0;     ///< legacy pipeline, per realization
-  double fast_ms = 0.0;          ///< MeshBindings hot path, per realization
-  double smoothing_ms = 0.0;     ///< in-place shoreline smoothing, per call
-  double asset_bind_ms = 0.0;    ///< stencil impacts_into, per call
-  std::size_t active_nodes = 0;  ///< influence-set size the fast path visits
-  std::size_t mesh_nodes = 0;    ///< total mesh nodes the legacy path visits
-  bool identical = false;        ///< fast path bit-identical to reference
-
-  double speedup() const noexcept {
-    return fast_ms > 0.0 ? reference_ms / fast_ms : 0.0;
-  }
-};
-
-/// Same line-merge format as write_runtime_bench_record, separate file so
-/// the hot-path trajectory is tracked independently of sweep runtimes.
-void write_surge_bench_record(const SurgeBenchRecord& record,
-                              const std::string& path = "BENCH_surge.json");
-
 /// DES engine throughput of the pooled engine (slab events, message
 /// freelist, indexed quorum state). Recorded by bench_micro ("bench_micro":
 /// event loop + quorum round + chaos-style sweep) and bench_des

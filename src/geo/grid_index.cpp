@@ -80,31 +80,4 @@ std::size_t GridIndex::nearest(Vec2 query) const noexcept {
   return best;
 }
 
-std::vector<std::size_t> GridIndex::within(Vec2 query, double radius) const {
-  std::vector<std::size_t> out;
-  within(query, radius, out);
-  return out;
-}
-
-void GridIndex::within(Vec2 query, double radius,
-                       std::vector<std::size_t>& out) const {
-  out.clear();
-  if (points_.empty() || radius < 0.0) return;
-  std::ptrdiff_t lo_x = 0;
-  std::ptrdiff_t lo_y = 0;
-  std::ptrdiff_t hi_x = 0;
-  std::ptrdiff_t hi_y = 0;
-  cell_coords({query.x - radius, query.y - radius}, lo_x, lo_y);
-  cell_coords({query.x + radius, query.y + radius}, hi_x, hi_y);
-  const double r2 = radius * radius;
-  for (std::ptrdiff_t cy = lo_y; cy <= hi_y; ++cy) {
-    for (std::ptrdiff_t cx = lo_x; cx <= hi_x; ++cx) {
-      for (const std::size_t i :
-           cells_[static_cast<std::size_t>(cy * nx_ + cx)].items) {
-        if ((points_[i] - query).norm2() <= r2) out.push_back(i);
-      }
-    }
-  }
-}
-
 }  // namespace ct::geo

@@ -24,14 +24,6 @@ class GridIndex {
   /// Index of the nearest point, or npos when the set is empty.
   std::size_t nearest(Vec2 query) const noexcept;
 
-  /// All point indices within `radius` of `query` (unordered).
-  std::vector<std::size_t> within(Vec2 query, double radius) const;
-
-  /// Allocation-free variant for hot callers: clears `out` and appends the
-  /// indices within `radius`. Reusing one `out` vector across queries makes
-  /// steady-state lookups allocation-free once its capacity has grown.
-  void within(Vec2 query, double radius, std::vector<std::size_t>& out) const;
-
   std::size_t size() const noexcept { return points_.size(); }
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

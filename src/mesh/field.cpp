@@ -6,25 +6,6 @@
 
 namespace ct::mesh {
 
-NodeField smooth_pass(const TriMesh& mesh, const NodeField& field,
-                      const std::function<bool(NodeId)>& affected) {
-  if (field.size() != mesh.node_count()) {
-    throw std::invalid_argument("smooth_pass: field size mismatch");
-  }
-  NodeField out = field;
-  for (NodeId n = 0; n < mesh.node_count(); ++n) {
-    if (!affected(n)) continue;
-    double sum = field[n];
-    std::size_t count = 1;
-    for (const NodeId m : mesh.neighbors(n)) {
-      sum += field[m];
-      ++count;
-    }
-    out[n] = sum / static_cast<double>(count);
-  }
-  return out;
-}
-
 void smooth_pass(const TriMesh& mesh, const NodeField& in, NodeField& out,
                  const std::vector<NodeId>& affected) {
   if (in.size() != mesh.node_count()) {
@@ -74,41 +55,11 @@ void shoreline_average_and_extend(const CoastalMesh& cm,
     field.swap(scratch);
   }
   // Extension: targets have offset > 0 and sources are offset-0 shore
-  // nodes, so sources are never overwritten mid-loop and reading `field`
-  // matches the legacy snapshot semantics.
+  // nodes, so sources are never overwritten mid-loop: reading `field` is
+  // the same as reading a snapshot taken after the passes.
   for (std::size_t i = 0; i < plan.extend_targets.size(); ++i) {
     field[plan.extend_targets[i]] = field[plan.extend_sources[i]];
   }
-}
-
-NodeField shoreline_average_and_extend(const CoastalMesh& cm,
-                                       const NodeField& wse, double band_m,
-                                       int passes) {
-  if (wse.size() != cm.mesh.node_count()) {
-    throw std::invalid_argument(
-        "shoreline_average_and_extend: field size mismatch");
-  }
-  if (passes < 0) {
-    throw std::invalid_argument("shoreline_average_and_extend: passes < 0");
-  }
-
-  // Step 1: average near the shoreline.
-  NodeField field = wse;
-  const auto near_shore = [&](NodeId n) {
-    return std::abs(cm.offset_of_node[n]) <= band_m;
-  };
-  for (int p = 0; p < passes; ++p) {
-    field = smooth_pass(cm.mesh, field, near_shore);
-  }
-
-  // Step 2: extend each station's shoreline value onto its onshore nodes.
-  for (NodeId n = 0; n < cm.mesh.node_count(); ++n) {
-    if (cm.offset_of_node[n] > 0.0) {
-      const std::uint32_t station = cm.station_of_node[n];
-      field[n] = field[cm.shore_nodes[station]];
-    }
-  }
-  return field;
 }
 
 double field_min(const NodeField& field) {
@@ -119,17 +70,6 @@ double field_min(const NodeField& field) {
 double field_max(const NodeField& field) {
   if (field.empty()) throw std::invalid_argument("field_max: empty field");
   return *std::max_element(field.begin(), field.end());
-}
-
-std::vector<double> shoreline_values(const CoastalMesh& cm,
-                                     const NodeField& field) {
-  if (field.size() != cm.mesh.node_count()) {
-    throw std::invalid_argument("shoreline_values: field size mismatch");
-  }
-  std::vector<double> out;
-  out.reserve(cm.shore_nodes.size());
-  for (const NodeId n : cm.shore_nodes) out.push_back(field[n]);
-  return out;
 }
 
 void shoreline_values(const CoastalMesh& cm, const NodeField& field,

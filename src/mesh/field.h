@@ -3,30 +3,23 @@
 // the shoreline, and then extended the water surface elevation onto the
 // shoreline"), plus general helpers.
 //
-// Two forms exist: the original allocating, predicate-driven functions
-// (kept as the reference path and for one-off callers), and in-place
-// double-buffered kernels over precomputed node lists (ShorelinePlan) that
-// the realization hot path runs — no per-pass allocation, no std::function
-// in the inner loop, bit-identical results.
+// The smoothing runs as in-place, double-buffered kernels over node lists
+// resolved once per mesh (ShorelinePlan): no per-pass allocation once the
+// buffers have mesh capacity.
 #pragma once
 
-#include <functional>
+#include <vector>
 
 #include "mesh/coastal_builder.h"
 #include "mesh/trimesh.h"
 
 namespace ct::mesh {
 
-/// One pass of neighbor averaging applied to nodes where `affected` is true.
-/// Each affected node is replaced by the mean of itself and its mesh
-/// neighbors. Conservative: output values are bounded by input min/max.
-NodeField smooth_pass(const TriMesh& mesh, const NodeField& field,
-                      const std::function<bool(NodeId)>& affected);
-
-/// In-place kernel form: writes the smoothed values of the nodes in
-/// `affected` into `out` (first assigned from `in`, reusing its capacity).
-/// Averages read `in`, so `out` must be a distinct buffer. Bit-identical to
-/// the predicate form with an equivalent affected set.
+/// One pass of neighbor averaging: writes into `out` (first assigned from
+/// `in`, reusing its capacity) each node in `affected` replaced by the mean
+/// of itself and its mesh neighbors. Averages read `in`, so `out` must be a
+/// distinct buffer. Conservative: output values are bounded by input
+/// min/max.
 void smooth_pass(const TriMesh& mesh, const NodeField& in, NodeField& out,
                  const std::vector<NodeId>& affected);
 
@@ -46,21 +39,14 @@ struct ShorelinePlan {
 ShorelinePlan make_shoreline_plan(const CoastalMesh& cm, double band_m,
                                   int passes);
 
-/// The paper's shoreline fix-up on a coarse mesh, two steps:
-///  1. AVERAGE: `passes` neighbor-averaging passes over nodes within
-///     `band_m` of the shoreline (|cross-shore offset| <= band_m), removing
-///     the 1.5m-next-to-0m artifacts coarse meshes produce.
+/// The paper's shoreline fix-up on a coarse mesh, in place on `field` (one
+/// value per mesh node) with `scratch` as the double buffer. Two steps:
+///  1. AVERAGE: `plan.passes` neighbor-averaging passes over the band nodes
+///     (|cross-shore offset| <= band), removing the 1.5m-next-to-0m
+///     artifacts coarse meshes produce.
 ///  2. EXTEND: copy each station's shoreline water level onto that
 ///     station's onshore nodes (offset > 0), i.e. extend the water surface
 ///     elevation onto the shoreline.
-/// Returns the corrected field; `wse` has one value per mesh node.
-NodeField shoreline_average_and_extend(const CoastalMesh& cm,
-                                       const NodeField& wse, double band_m,
-                                       int passes);
-
-/// In-place plan form: applies the fix-up to `field` using `scratch` as the
-/// double buffer. Allocation-free once both buffers have mesh capacity;
-/// bit-identical to the allocating form with the same band/passes.
 void shoreline_average_and_extend(const CoastalMesh& cm,
                                   const ShorelinePlan& plan, NodeField& field,
                                   NodeField& scratch);
@@ -69,11 +55,8 @@ void shoreline_average_and_extend(const CoastalMesh& cm,
 double field_min(const NodeField& field);
 double field_max(const NodeField& field);
 
-/// Per-station shoreline value: field sampled at each station's shore node.
-std::vector<double> shoreline_values(const CoastalMesh& cm,
-                                     const NodeField& field);
-
-/// Allocation-free variant writing into `out` (resized to station count).
+/// Per-station shoreline value: `field` sampled at each station's shore
+/// node, written into `out` (resized to the station count).
 void shoreline_values(const CoastalMesh& cm, const NodeField& field,
                       std::vector<double>& out);
 

@@ -1,10 +1,8 @@
 #include "surge/harbor.h"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "geo/grid_index.h"
 #include "geo/polygon.h"
 
 namespace ct::surge {
@@ -41,8 +39,8 @@ std::vector<bool> sheltered_stations(const mesh::CoastalMesh& cm,
   return out;
 }
 
-std::vector<std::size_t> harbor_source_map_reference(
-    const mesh::CoastalMesh& cm, const std::vector<bool>& sheltered) {
+std::vector<std::size_t> harbor_source_map(const mesh::CoastalMesh& cm,
+                                           const std::vector<bool>& sheltered) {
   if (sheltered.size() != cm.stations.size()) {
     throw std::invalid_argument("harbor_source_map: mask size mismatch");
   }
@@ -62,81 +60,6 @@ std::vector<std::size_t> harbor_source_map_reference(
     }
   }
   return map;
-}
-
-std::vector<std::size_t> harbor_source_map(const mesh::CoastalMesh& cm,
-                                           const std::vector<bool>& sheltered) {
-  if (sheltered.size() != cm.stations.size()) {
-    throw std::invalid_argument("harbor_source_map: mask size mismatch");
-  }
-  const std::size_t n = cm.stations.size();
-  std::vector<std::size_t> map(n);
-
-  // Exposed stations, ascending: the candidate set for every sheltered
-  // station. Ascending order means "lowest station index" is the tie-break,
-  // exactly what the reference scan's strict `<` yields.
-  std::vector<std::size_t> exposed;
-  std::vector<geo::Vec2> exposed_pos;
-  geo::BBox box;
-  for (std::size_t i = 0; i < n; ++i) {
-    map[i] = i;
-    box.expand(cm.stations[i].position);
-    if (!sheltered[i]) {
-      exposed.push_back(i);
-      exposed_pos.push_back(cm.stations[i].position);
-    }
-  }
-  if (exposed.empty() || exposed.size() == n) return map;
-
-  // No pair of stations is farther apart than the bounding-box diagonal.
-  const double max_radius =
-      std::sqrt(box.width() * box.width() + box.height() * box.height()) + 1.0;
-  const geo::GridIndex index(exposed_pos, 4000.0);
-
-  std::vector<std::size_t> found;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!sheltered[i]) continue;
-    const geo::Vec2 pos = cm.stations[i].position;
-
-    // Expand until any exposed station falls inside the query radius.
-    double radius = 8000.0;
-    while (true) {
-      index.within(pos, radius, found);
-      if (!found.empty() || radius >= max_radius) break;
-      radius *= 2.0;
-    }
-    if (found.empty()) continue;  // unreachable: max_radius covers all pairs
-
-    // The found set bounds the answer from above. Rescan with that bound
-    // inflated far past any rounding of geo::distance (relative error
-    // ~1e-16 vs a 1e-7 margin) so every station whose ROUNDED distance
-    // ties the minimum is guaranteed to be a candidate.
-    double bound = std::numeric_limits<double>::infinity();
-    for (const std::size_t e : found) {
-      bound = std::min(bound, geo::distance(pos, exposed_pos[e]));
-    }
-    const double rescan = bound * 1.0000001 + 1e-6;
-    if (rescan > radius) index.within(pos, rescan, found);
-
-    double best_d = std::numeric_limits<double>::infinity();
-    std::size_t best_station = i;
-    for (const std::size_t e : found) {
-      const double d = geo::distance(pos, exposed_pos[e]);
-      const std::size_t station = exposed[e];
-      if (d < best_d || (d == best_d && station < best_station)) {
-        best_d = d;
-        best_station = station;
-      }
-    }
-    map[i] = best_station;
-  }
-  return map;
-}
-
-void alongshore_average(std::vector<double>& shore_wse,
-                        const std::vector<bool>& sheltered, int window) {
-  std::vector<double> snapshot;
-  alongshore_average(shore_wse, sheltered, window, snapshot);
 }
 
 void alongshore_average(std::vector<double>& shore_wse,
@@ -184,15 +107,6 @@ void mark_station_inputs(std::size_t station,
     const std::size_t j = walk(source, d, n);
     if (!sheltered[j]) mask[j] = 1;
   }
-}
-
-void apply_harbor_transfer(std::vector<double>& shore_wse,
-                           const std::vector<bool>& sheltered,
-                           const std::vector<std::size_t>& source_map,
-                           double amplification) {
-  std::vector<double> snapshot;
-  apply_harbor_transfer(shore_wse, sheltered, source_map, amplification,
-                        snapshot);
 }
 
 void apply_harbor_transfer(std::vector<double>& shore_wse,

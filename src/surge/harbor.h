@@ -42,29 +42,16 @@ std::vector<bool> sheltered_stations(const mesh::CoastalMesh& cm,
                                      const HarborConfig& config);
 
 /// For each sheltered station, the index of the nearest exposed station
-/// (by euclidean distance). Identity for exposed stations and when every
-/// station is sheltered. Uses a grid index with an expanding-radius query;
-/// guaranteed to return the same map as harbor_source_map_reference
-/// (candidate radii are inflated past any floating-point rounding of the
-/// distance, then ties resolve to the lowest station index, which is what
-/// the reference scan's strict `<` picks).
+/// (by euclidean distance; a tie goes to the lowest index). Identity for
+/// exposed stations and when every station is sheltered. An
+/// O(stations^2) scan; the map is built once per engine.
 std::vector<std::size_t> harbor_source_map(const mesh::CoastalMesh& cm,
                                            const std::vector<bool>& sheltered);
 
-/// Reference O(stations^2) scan the indexed version is tested against.
-std::vector<std::size_t> harbor_source_map_reference(
-    const mesh::CoastalMesh& cm, const std::vector<bool>& sheltered);
-
 /// Applies the transfer in place: sheltered stations get
-/// `amplification * wse[source]`.
-void apply_harbor_transfer(std::vector<double>& shore_wse,
-                           const std::vector<bool>& sheltered,
-                           const std::vector<std::size_t>& source_map,
-                           double amplification);
-
-/// Allocation-free variant: `snapshot` supplies the pre-transfer copy the
-/// in-place rule reads from (reused across realizations by the engine
-/// scratch). Bit-identical to the two-argument form.
+/// `amplification * wse[source]`, read from `snapshot`, a pre-transfer copy
+/// (reused across realizations by the engine scratch) so chained sheltered
+/// stations do not compound.
 void apply_harbor_transfer(std::vector<double>& shore_wse,
                            const std::vector<bool>& sheltered,
                            const std::vector<std::size_t>& source_map,
@@ -77,11 +64,7 @@ void apply_harbor_transfer(std::vector<double>& shore_wse,
 /// `window` index positions along the shoreline walk (the walk is
 /// circular). Sheltered stations are left untouched — run this BEFORE
 /// apply_harbor_transfer so harbors inherit the averaged open-coast level.
-void alongshore_average(std::vector<double>& shore_wse,
-                        const std::vector<bool>& sheltered, int window);
-
-/// Allocation-free variant with a caller-provided snapshot buffer.
-/// Bit-identical to the three-argument form.
+/// `snapshot` is the caller-provided buffer the averages read from.
 void alongshore_average(std::vector<double>& shore_wse,
                         const std::vector<bool>& sheltered, int window,
                         std::vector<double>& snapshot);

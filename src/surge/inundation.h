@@ -1,17 +1,17 @@
-// Inundation mapping: converts the smoothed shoreline water-surface
-// elevation into per-asset inundation depths. This is the paper's final
-// hurricane-modeling step: "the relevant power assets ... were tracked to
-// determine the inundation levels at those sites in each hurricane
-// realization", with an asset failing when peak inundation exceeds 0.5 m
-// (typical switch height in plants and substations).
+// Inundation types: the assets whose flooding matters, the mapping's
+// parameters and its per-asset result. The mapping itself (smoothed
+// shoreline water-surface elevation -> per-asset inundation depth) is
+// MeshBindings::impacts_into. This is the paper's final hurricane-modeling
+// step: "the relevant power assets ... were tracked to determine the
+// inundation levels at those sites in each hurricane realization", with an
+// asset failing when peak inundation exceeds 0.5 m (typical switch height
+// in plants and substations).
 #pragma once
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "geo/geopoint.h"
-#include "geo/grid_index.h"
-#include "mesh/coastal_builder.h"
 
 namespace ct::surge {
 
@@ -53,37 +53,6 @@ struct AssetImpact {
   /// Wind-fragility extension (zero/false unless enabled, see fragility.h).
   double peak_wind_ms = 0.0;           ///< Peak sustained wind at the asset.
   bool wind_failed = false;            ///< Sampled wind damage.
-};
-
-/// Maps shoreline water levels onto assets. Construct once per mesh; the
-/// per-realization call takes only the shoreline WSE vector.
-class InundationMapper {
- public:
-  InundationMapper(const mesh::CoastalMesh& cm, const geo::EnuProjection& proj,
-                   InundationConfig config = {});
-
-  /// `shoreline_wse` must have one value per shoreline station (the output
-  /// of mesh::shoreline_values on the smoothed envelope).
-  AssetImpact impact(const ExposedAsset& asset,
-                     const std::vector<double>& shoreline_wse) const;
-
-  std::vector<AssetImpact> impacts(const std::vector<ExposedAsset>& assets,
-                                   const std::vector<double>& shoreline_wse) const;
-
-  /// Station a point binds to — the exact index `impact` would use.
-  /// Exposed so the precomputed asset stencils (surge/mesh_bindings.h)
-  /// freeze the same station the per-realization path picks.
-  std::size_t nearest_station(geo::Vec2 enu) const noexcept {
-    return station_index_.nearest(enu);
-  }
-
-  const InundationConfig& config() const noexcept { return config_; }
-
- private:
-  const mesh::CoastalMesh& cm_;
-  geo::EnuProjection proj_;
-  InundationConfig config_;
-  geo::GridIndex station_index_;
 };
 
 }  // namespace ct::surge

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "geo/grid_index.h"
 #include "geo/polygon.h"
 #include "obs/metrics.h"
 #include "storm/holland.h"
@@ -38,11 +39,15 @@ struct EnvelopeStep {
 MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
                            const geo::EnuProjection& proj,
                            const SurgeConfig& surge,
-                           const InundationMapper& mapper,
+                           const InundationConfig& inundation,
                            const std::vector<ExposedAsset>& assets,
                            double smoothing_band_m, int smoothing_passes)
-    : cm_(cm), surge_(surge), inundation_(mapper.config()) {
-  // Far-skip geometry, computed exactly as SurgeSolver::max_envelope does.
+    : cm_(cm), surge_(surge), inundation_(inundation) {
+  if (inundation_.decay_length_m <= 0.0) {
+    throw std::invalid_argument("MeshBindings: decay length must be > 0");
+  }
+  // Far-skip geometry: the mesh's bounding-box center, and its half-extent
+  // plus the considered distance.
   geo::BBox box;
   for (const mesh::Node& node : cm.mesh.nodes()) box.expand(node.position);
   mesh_center_ = box.center();
@@ -71,6 +76,13 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
     read_stations_[s] = s;
   }
 
+  std::vector<geo::Vec2> station_positions;
+  station_positions.reserve(cm.stations.size());
+  for (const auto& station : cm.stations) {
+    station_positions.push_back(station.position);
+  }
+  const geo::GridIndex station_index(station_positions, 4000.0);
+
   auto index = std::make_shared<AssetIndex>();
   asset_ids_.reserve(assets.size());
   asset_ground_m_.reserve(assets.size());
@@ -83,7 +95,7 @@ MeshBindings::MeshBindings(const mesh::CoastalMesh& cm,
 
     AssetStencil s;
     s.enu = proj.to_enu(asset.location);
-    s.station = mapper.nearest_station(s.enu);
+    s.station = station_index.nearest(s.enu);
     s.station_distance_m = geo::distance(s.enu, cm.stations[s.station].position);
     s.decay = std::exp(-s.station_distance_m / inundation_.decay_length_m);
     s.nearest_node = cm.mesh.nearest_node(s.enu);
@@ -204,9 +216,10 @@ void MeshBindings::accumulate_envelope(const storm::StormTrack& track,
                                        mesh::NodeField& envelope) const {
   envelope.assign(cm_.mesh.node_count(), 0.0);
   const std::size_t active_count = active_nodes_.size();
-  // Per-realization constants, folded exactly as the reference solver
-  // writes them: (exponent - 1.0) feeds pow unchanged, and rho*g is the
-  // same product the inverse-barometer term divides by.
+  // Per-realization constants, folded once: (exponent - 1.0) feeds pow
+  // unchanged, and rho*g is the product the inverse-barometer term divides
+  // by. The envelope goldens in tests/fastpath_test.cpp pin this operation
+  // sequence bit-for-bit.
   const double exponent_m1 = surge_.wind_setup_exponent - 1.0;
   const double rho_g = kWaterDensity * kGravity;
 
@@ -221,9 +234,9 @@ void MeshBindings::accumulate_envelope(const storm::StormTrack& track,
     const storm::StormState state = track.state_at(t, proj);
     const geo::Vec2 center = proj.to_enu(state.center);
     const double distance = geo::distance(center, mesh_center_);
-    // Far steps are skipped as in the reference solver. A NaN center makes
-    // every WSE of the step NaN, which max drops, so skipping it is exact
-    // and keeps the sort key well ordered.
+    // Far steps are skipped. A NaN center makes every WSE of the step NaN,
+    // which max drops, so skipping it is exact and keeps the sort key well
+    // ordered.
     if (!(distance <= mesh_radius_)) continue;
     steps.push_back({distance, center, state});
   }

@@ -1,27 +1,27 @@
-// Per-(terrain, mesh config) precompute for the realization hot path.
+// Per-(terrain, mesh config) precompute for the realization path.
 //
-// Every one of the 1000 realizations used to re-derive the same facts from
-// the mesh: which nodes can ever influence the values the engine reports,
-// each node's onshore direction and depth floor, which station/triangle
-// each asset binds to, and the inland decay factor. MeshBindings freezes
-// all of that once per RealizationEngine (shared read-only across
-// realizations and threads) and exposes allocation-free kernels over the
-// frozen arrays.
+// Every one of the 1000 realizations would otherwise re-derive the same
+// facts from the mesh: which nodes can ever influence the values the
+// engine reports, each node's onshore direction and depth floor, which
+// station/triangle each asset binds to, and the inland decay factor.
+// MeshBindings freezes all of that once per RealizationEngine (shared
+// read-only across realizations and threads) and exposes allocation-free
+// kernels over the frozen arrays.
 //
-// Equivalence contract: every kernel here is BIT-IDENTICAL to the legacy
-// path it replaces for all values the bindings' consumers read. Those are
-// the final shoreline values of the read stations (every station for an
-// engine's full bindings; the assets' stencil stations for scoped ones).
-// A station's final value reads the pre-averaging values of its harbor
+// Exactness contract: the bindings' consumers read only the final
+// shoreline values of the read stations (every station for an engine's
+// full bindings; the assets' stencil stations for scoped ones). A
+// station's final value reads the pre-averaging values of its harbor
 // source's alongshore window, and each of those reads the envelope of the
 // nodes within `passes` smoothing hops of the station's shore node (the
 // extension step overwrites onshore nodes). `accumulate_envelope`
-// evaluates exactly those active nodes with the same IEEE-754 operation
-// sequence the reference SurgeSolver uses and leaves the rest at 0. Within
-// a call it visits storm steps nearest-first and skips node-steps whose
+// evaluates exactly those active nodes and leaves the rest at 0, so every
+// consumed value equals the one a full-mesh envelope would give. Within a
+// call it visits storm steps nearest-first and skips node-steps whose
 // radial upper bound (surge/wse_bound.h) cannot raise the running maximum;
-// both leave every written value unchanged. See DESIGN.md §10 for the full
-// argument.
+// both leave every written value unchanged. tests/fastpath_test.cpp pins
+// the envelope bits on every active node and every realization field as
+// golden digests. See DESIGN.md §10 for the full argument.
 #pragma once
 
 #include <array>
@@ -44,12 +44,11 @@ namespace ct::surge {
 
 /// Frozen binding of one asset to the mesh and shoreline.
 struct AssetStencil {
-  /// Shoreline station the asset draws water from (same index the
-  /// InundationMapper's nearest-station query returns).
+  /// Shoreline station the asset draws water from: the station nearest
+  /// to the asset.
   std::size_t station = 0;
   double station_distance_m = 0.0;
-  /// Precomputed inland decay exp(-distance / decay_length) — the exact
-  /// factor the legacy impact() computes per realization.
+  /// Precomputed inland decay exp(-distance / decay_length).
   double decay = 1.0;
   /// Asset position in the ENU frame.
   geo::Vec2 enu;
@@ -69,9 +68,10 @@ using AssetIndex = std::unordered_map<std::string, std::uint32_t>;
 class MeshBindings {
  public:
   /// Builds the precompute over every shoreline station. `cm` must outlive
-  /// the bindings (the RealizationEngine shares it with them).
+  /// the bindings (the RealizationEngine shares it with them). Throws
+  /// std::invalid_argument unless inundation.decay_length_m > 0.
   MeshBindings(const mesh::CoastalMesh& cm, const geo::EnuProjection& proj,
-               const SurgeConfig& surge, const InundationMapper& mapper,
+               const SurgeConfig& surge, const InundationConfig& inundation,
                const std::vector<ExposedAsset>& assets,
                double smoothing_band_m, int smoothing_passes);
 
@@ -86,8 +86,11 @@ class MeshBindings {
                       const std::vector<char>& stations) const;
 
   /// Writes the MEOW envelope of `track` into `envelope` (resized to the
-  /// node count; non-active nodes stay 0). Bit-equal on every consumed
-  /// node to SurgeSolver::max_envelope with the same config. Thread-safe:
+  /// node count; non-active nodes stay 0): per in-range storm step, the
+  /// surge decomposition of surge/surge_model.h at every active node, and
+  /// the maximum over steps. Steps whose storm center lies farther than
+  /// max_considered_distance_m beyond the mesh's bounding box are skipped.
+  /// Thread-safe:
   /// const over frozen arrays, all mutation goes to `envelope` and a
   /// thread-local step buffer. Adds the call's node-step tallies to the
   /// `surge.node_steps` and `surge.node_steps_skipped` counters.
@@ -95,8 +98,11 @@ class MeshBindings {
                            const geo::EnuProjection& proj,
                            mesh::NodeField& envelope) const;
 
-  /// Per-asset impacts from the smoothed shoreline WSE, written into `out`
-  /// (cleared first). Bit-equal to InundationMapper::impacts.
+  /// Per-asset impacts from the smoothed shoreline WSE (one value per
+  /// station), written into `out` (cleared first): the station's WSE decayed
+  /// inland to the asset, depth above its pad, failed when the depth
+  /// exceeds the threshold. Throws std::invalid_argument on a WSE/station
+  /// size mismatch.
   void impacts_into(const std::vector<double>& shoreline_wse,
                     std::vector<AssetImpact>& out) const;
 
@@ -139,7 +145,8 @@ class MeshBindings {
   SurgeConfig surge_;
   InundationConfig inundation_;
 
-  // Far-skip geometry, identical to SurgeSolver::max_envelope.
+  // Far-skip geometry: storm steps farther than mesh_radius_ from
+  // mesh_center_ are skipped.
   geo::Vec2 mesh_center_;
   double mesh_radius_ = 0.0;
 

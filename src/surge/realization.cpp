@@ -116,8 +116,7 @@ RealizationEngine::Shared::Shared(
     : terrain(std::move(terrain_in)), assets(std::move(assets_in)),
       config(config_in),
       cm(mesh::build_coastal_mesh(require_terrain(terrain), config.mesh)),
-      generator(config.ensemble), solver(config.surge),
-      mapper(cm, terrain->projection(), config.inundation) {
+      generator(config.ensemble) {
   if (config.harbor.enabled) {
     sheltered = sheltered_stations(cm, *terrain, config.harbor);
     harbor_sources = harbor_source_map(cm, sheltered);
@@ -137,7 +136,8 @@ RealizationEngine::RealizationEngine(
                                              std::move(assets), config)),
       scope_(shared_->assets.size()), assets_(shared_->assets),
       bindings_(shared_->cm, shared_->terrain->projection(),
-                shared_->config.surge, shared_->mapper, shared_->assets,
+                shared_->config.surge, shared_->config.inundation,
+                shared_->assets,
                 shared_->config.smoothing_band_m,
                 shared_->config.smoothing_passes) {
   for (std::size_t a = 0; a < scope_.size(); ++a) scope_[a] = a;
@@ -266,43 +266,6 @@ HurricaneRealization RealizationEngine::run(std::uint64_t index,
   }
   out.max_shoreline_wse_m = guarded_max(
       scratch.shore_wse, bindings_.read_stations(), index, config.base_seed);
-  validate_realization(out, config.base_seed);
-  return out;
-}
-
-HurricaneRealization RealizationEngine::run_reference(
-    std::uint64_t index) const {
-  const RealizationConfig& config = shared_->config;
-  const mesh::CoastalMesh& cm = shared_->cm;
-  const storm::StormTrack track =
-      shared_->generator.generate(config.base_seed, index);
-  const geo::EnuProjection& proj = shared_->terrain->projection();
-
-  mesh::NodeField envelope = shared_->solver.max_envelope(cm, track, proj);
-  envelope = mesh::shoreline_average_and_extend(
-      cm, envelope, config.smoothing_band_m, config.smoothing_passes);
-  std::vector<double> shore_wse = mesh::shoreline_values(cm, envelope);
-  alongshore_average(shore_wse, shared_->sheltered, config.alongshore_window);
-  if (config.sea_level_offset_m != 0.0) {
-    for (double& wse : shore_wse) wse += config.sea_level_offset_m;
-  }
-  if (config.harbor.enabled) {
-    apply_harbor_transfer(shore_wse, shared_->sheltered,
-                          shared_->harbor_sources,
-                          config.harbor.amplification);
-  }
-
-  HurricaneRealization out;
-  out.index = index;
-  out.impacts = shared_->mapper.impacts(assets_, shore_wse);
-  out.asset_index = bindings_.asset_index();
-  out.peak_wind_ms = track.peak_surface_wind_ms();
-
-  if (config.fragility.enabled) {
-    apply_wind_fragility(track, index, out);
-  }
-  out.max_shoreline_wse_m = guarded_max(shore_wse, bindings_.read_stations(),
-                                        index, config.base_seed);
   validate_realization(out, config.base_seed);
   return out;
 }

@@ -1,13 +1,14 @@
 // Hurricane realization engine: the paper's natural-disaster input stage.
-// Each realization draws one storm from the CAT-2 ensemble, runs the surge
-// solver over the coastal mesh, applies the shoreline averaging/extension
-// post-processing, and records per-asset peak inundation. 1000 realizations
-// form the natural-disaster input to the compound-threat framework.
+// Each realization draws one storm from the CAT-2 ensemble, accumulates the
+// surge envelope over the coastal mesh, applies the shoreline averaging/
+// extension post-processing, and records per-asset peak inundation. 1000
+// realizations form the natural-disaster input to the compound-threat
+// framework.
 //
-// Two execution paths produce bit-identical results (tests/fastpath_test):
-//  - run(): the hot path over the MeshBindings precompute — per-step storm
-//    kernel, active-node envelope, in-place smoothing, reusable scratch.
-//  - run_reference(): the original allocating pipeline, kept as the oracle.
+// run() is the one execution path: the MeshBindings precompute (per-step
+// storm kernel, active-node envelope, in-place smoothing, reusable
+// scratch). tests/fastpath_test.cpp pins its output as golden digests over
+// 1000 realizations per configuration variant (DESIGN.md §10).
 //
 // An engine serves every asset it was built with and every shoreline
 // station. scoped() derives an engine for a few sites that shares the mesh
@@ -104,8 +105,8 @@ struct RealizationScratch {
 
 /// Validates a realization's numeric outputs: throws ct::Error{kNumeric}
 /// (with realization/seed provenance) when the peak wind, shoreline WSE,
-/// or any asset depth is NaN/Inf. The engine calls this on both execution
-/// paths so a numerically exploded realization fails ITSELF — a typed,
+/// or any asset depth is NaN/Inf. The engine calls this on every
+/// realization so a numerically exploded realization fails ITSELF — a typed,
 /// quarantinable error — instead of leaking poisoned values into the
 /// outcome distribution. The ensemble runtime also re-validates after
 /// fault injection (RuntimeFaultProfile nan rule).
@@ -134,19 +135,14 @@ class RealizationEngine {
   /// engine's batch digest.
   RealizationEngine scoped(const std::vector<std::string>& site_ids) const;
 
-  /// Runs realization `index` (deterministic in (config.base_seed, index))
-  /// on the hot path, reusing a thread-local scratch. Bit-identical to
-  /// run_reference.
+  /// Runs realization `index` (deterministic in (config.base_seed, index)),
+  /// reusing a thread-local scratch.
   HurricaneRealization run(std::uint64_t index) const;
 
-  /// Hot path with caller-owned scratch (for callers managing worker
+  /// run() with caller-owned scratch (for callers managing worker
   /// lifetimes themselves).
   HurricaneRealization run(std::uint64_t index,
                            RealizationScratch& scratch) const;
-
-  /// The original allocating pipeline, kept as the equivalence oracle and
-  /// for apples-to-apples benchmarking.
-  HurricaneRealization run_reference(std::uint64_t index) const;
 
   /// Runs realizations [0, count) serially: the reference the parallel
   /// runtime (runtime::EnsembleRunner) is checked against.
@@ -177,8 +173,8 @@ class RealizationEngine {
  private:
   /// The scope-independent state, built once by the public constructor and
   /// shared by every engine scoped from it. It lives on the heap and never
-  /// moves, so the references the mapper and the bindings keep into `cm`
-  /// stay valid for any copy or move of an engine.
+  /// moves, so the reference the bindings keep into `cm` stays valid for
+  /// any copy or move of an engine.
   struct Shared {
     Shared(std::shared_ptr<const terrain::Terrain> terrain,
            std::vector<ExposedAsset> assets, RealizationConfig config);
@@ -188,8 +184,6 @@ class RealizationEngine {
     RealizationConfig config;
     mesh::CoastalMesh cm;
     storm::TrackGenerator generator;
-    SurgeSolver solver;
-    InundationMapper mapper;
     std::vector<bool> sheltered;
     std::vector<std::size_t> harbor_sources;
   };
@@ -197,7 +191,7 @@ class RealizationEngine {
   RealizationEngine(std::shared_ptr<const Shared> shared,
                     std::vector<std::size_t> scope, MeshBindings bindings);
 
-  /// Wind-fragility stage shared by both paths (track-scan + sampling).
+  /// Wind-fragility stage (track-scan + sampling).
   void apply_wind_fragility(const storm::StormTrack& track,
                             std::uint64_t index,
                             HurricaneRealization& out) const;

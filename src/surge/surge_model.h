@@ -1,34 +1,34 @@
-// Parametric storm-surge solver over the coastal mesh. Stands in for the
+// Parametric storm-surge model over the coastal mesh. Stands in for the
 // ADCIRC hydrodynamic run in the paper's pipeline: for each time step of a
-// storm track it evaluates the Holland wind/pressure field at every wet
-// mesh node and converts it to a water-surface elevation via the standard
+// storm track it evaluates the Holland wind/pressure field at every mesh
+// node and converts it to a water-surface elevation via the standard
 // parametric decomposition
 //
 //   WSE = wind setup + inverse barometer + wave setup
 //
 // with wind setup ~ u_onshore * |u| / (g * depth)  (shallow-water stress
 // balance) and inverse barometer ~ dp / (rho g). The maximum over time per
-// node (the "maximum envelope of water", MEOW) is the solver's output,
-// matching how inundation studies consume ADCIRC results.
+// node (the "maximum envelope of water", MEOW) is the model's output,
+// matching how inundation studies consume ADCIRC results. The kernel that
+// computes it is MeshBindings::accumulate_envelope (surge/mesh_bindings.h),
+// over the nodes whose envelope the realization reads.
 #pragma once
 
-#include "mesh/coastal_builder.h"
 #include "storm/holland.h"
-#include "storm/track.h"
 
 namespace ct::surge {
 
 /// Physical constants of the surge decomposition. In the header so the
-/// precomputed hot path (surge/mesh_bindings.h) folds exactly the same
-/// values the reference solver uses — a prerequisite for bit-identity.
+/// envelope kernel (surge/mesh_bindings.h) and its pruning bound
+/// (surge/wse_bound.h) fold exactly the same values.
 inline constexpr double kGravity = 9.81;        // m/s^2
 inline constexpr double kWaterDensity = 1025.0; // kg/m^3 (sea water)
 
 /// Tunable physics constants. Defaults are calibrated (see
-/// tests/surge/calibration_test.cpp) so that a direct CAT-2 landfall
-/// produces 1.5-3 m of surge on the facing shore, consistent with Hawaii
-/// planning guidance, and so the Oahu case study reproduces the paper's
-/// ~9.5% Honolulu flood probability.
+/// tests/calibration_test.cpp) so that a direct CAT-2 landfall produces
+/// 1.5-3 m of surge on the facing shore, consistent with Hawaii planning
+/// guidance, and so the Oahu case study reproduces the paper's ~9.5%
+/// Honolulu flood probability.
 struct SurgeConfig {
   /// Simulation time step (s).
   double dt_s = 1800.0;
@@ -47,32 +47,6 @@ struct SurgeConfig {
   double max_considered_distance_m = 350000.0;
   /// Holland wind-field options (surface reduction, inflow, asymmetry).
   storm::HollandWindField::Options wind_options{};
-};
-
-/// Computes the maximum water-surface-elevation envelope (one value per
-/// mesh node, meters above MSL) produced by `track` over the coastal mesh.
-/// Land nodes receive the same formula evaluated with the floor depth; the
-/// caller is expected to post-process with
-/// mesh::shoreline_average_and_extend (as the paper did) before using
-/// onshore values.
-class SurgeSolver {
- public:
-  explicit SurgeSolver(SurgeConfig config = {}) : config_(config) {}
-
-  mesh::NodeField max_envelope(const mesh::CoastalMesh& cm,
-                               const storm::StormTrack& track,
-                               const geo::EnuProjection& proj) const;
-
-  /// Instantaneous WSE field at one moment (used by tests and the DES
-  /// replay example to inspect the time evolution).
-  mesh::NodeField instantaneous(const mesh::CoastalMesh& cm,
-                                const storm::StormState& state,
-                                const geo::EnuProjection& proj) const;
-
-  const SurgeConfig& config() const noexcept { return config_; }
-
- private:
-  SurgeConfig config_;
 };
 
 }  // namespace ct::surge

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/chaos.h"
+#include "golden.h"
 #include "runtime/task_pool.h"
 #include "scada/configuration.h"
 #include "sim/fault_injector.h"
@@ -46,10 +47,7 @@ namespace {
 
 constexpr int kPlansPerCell = 50;
 
-struct Golden {
-  std::string_view cell;
-  std::string_view digest;
-};
+using golden::Golden;
 
 constexpr Golden kGolden[] = {
     {"benign/2/seed1", "071a1eb819733c6679628e7a72ad4683"},
@@ -93,20 +91,6 @@ constexpr Golden kGolden[] = {
     {"traced/6-6", "8002d88970e6cd779920972c2e87b13d"},
     {"traced/6+6+6", "c14ebf928a04970b3a68aa6b7386e186"},
 };
-
-std::string_view golden_for(std::string_view cell) {
-  for (const Golden& g : kGolden) {
-    if (g.cell == cell) return g.digest;
-  }
-  return "<no golden>";
-}
-
-void expect_golden(const std::string& cell, const util::Digest& computed) {
-  const std::string hex = computed.hex();
-  EXPECT_EQ(hex, golden_for(cell))
-      << "cell " << cell << " computed digest " << hex << "\n  {\"" << cell
-      << "\", \"" << hex << "\"},";
-}
 
 /// Folds one run's outcome digest into its cell's digest, in run order.
 void fold(util::Digest& cell, const DesOutcome& outcome) {
@@ -210,7 +194,7 @@ void check_cells(const std::vector<Cell>& cells) {
   pool.parallel_for_each(cells.size(), 1,
                          [&](std::size_t i) { digests[i] = cells[i].run(); });
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    expect_golden(cells[i].name, digests[i]);
+    golden::expect_golden(kGolden, cells[i].name, digests[i]);
   }
 }
 

@@ -1,22 +1,40 @@
-// Equivalence and invalidation tests for the realization hot path: the
-// MeshBindings precompute (surge/mesh_bindings.h) plus RealizationEngine::
-// run must be BIT-identical to run_reference (the original pipeline) for
-// every consumed output, across configuration variants, thread counts, and
-// the five paper SCADA architectures; and the engine-batch digest must
-// change whenever the precompute's inputs change so disk caches can never
-// serve stale realizations.
+// Golden-digest, equivalence and invalidation tests for the realization
+// path: RealizationEngine::run over the MeshBindings precompute
+// (surge/mesh_bindings.h).
+//
+// The surge goldens pin, per configuration variant, every field of
+// realizations 0..999 and the envelope bits on every active node of
+// realizations 0..199. They were recorded while the original allocating
+// pipeline (a full-mesh solver, allocating smoothing and a per-realization
+// inundation mapper) still existed as a second path: both paths agreed
+// bit-for-bit on all 15 variants x 1000 realizations and on every active
+// node of the 200 envelopes. The realization goldens are checked on the
+// full-engine pass of the scoped-engine test. On an intended behaviour
+// change, copy the digest the failure prints into kGolden and record the
+// change in CHANGES.md.
+//
+// Scoped engines must equal the full engine on their sites; parallel and
+// serial runs must give the same outcome distributions for the five paper
+// SCADA architectures; and the engine-batch digest must change whenever the
+// precompute's inputs change so disk caches can never serve stale
+// realizations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "golden.h"
 #include "obs/metrics.h"
 #include "runtime/ensemble_runner.h"
 #include "runtime/task_pool.h"
@@ -24,7 +42,6 @@
 #include "scada/oahu.h"
 #include "storm/generator.h"
 #include "surge/realization.h"
-#include "surge/surge_model.h"
 #include "terrain/oahu.h"
 #include "terrain/terrain.h"
 #include "util/digest.h"
@@ -78,32 +95,35 @@ void expect_bit_identical(const HurricaneRealization& a,
   EXPECT_EQ(bits(a.max_shoreline_wse_m), bits(b.max_shoreline_wse_m)) << tag;
 }
 
-// ------------------------------------------------- run vs run_reference
+// ---------------------------------------------------- config variants
 
 struct Variant {
   const char* name;
   RealizationConfig config;
+  /// False for variants that change only the post-envelope stage, whose
+  /// envelope is the default variant's.
+  bool reshapes_envelope = true;
 };
 
 /// Configuration variants that reshape every stage of the realization
-/// pipeline (shared by the reference and the scope equality tests).
+/// pipeline (shared by the golden and the scope equality tests).
 std::vector<Variant> config_variants() {
   std::vector<Variant> variants;
   variants.push_back({"default", {}});
   {
     RealizationConfig c;
     c.harbor.enabled = false;
-    variants.push_back({"harbor-off", c});
+    variants.push_back({"harbor-off", c, false});
   }
   {
     RealizationConfig c;
     c.fragility.enabled = true;
-    variants.push_back({"fragility-on", c});
+    variants.push_back({"fragility-on", c, false});
   }
   {
     RealizationConfig c;
     c.sea_level_offset_m = 0.5;
-    variants.push_back({"sea-level-rise", c});
+    variants.push_back({"sea-level-rise", c, false});
   }
   {
     RealizationConfig c;
@@ -118,7 +138,7 @@ std::vector<Variant> config_variants() {
   {
     RealizationConfig c;
     c.alongshore_window = 0;
-    variants.push_back({"window-0", c});
+    variants.push_back({"window-0", c, false});
   }
   {
     RealizationConfig c;
@@ -165,53 +185,174 @@ std::vector<Variant> config_variants() {
   return variants;
 }
 
-TEST(Fastpath, RunMatchesReferenceBitExactAcrossConfigVariants) {
-  for (const Variant& v : config_variants()) {
-    const RealizationEngine engine(oahu(), oahu_assets(), v.config);
-    for (const std::uint64_t index : {0ull, 3ull, 17ull}) {
-      expect_bit_identical(
-          engine.run(index), engine.run_reference(index),
-          std::string(v.name) + "[" + std::to_string(index) + "]");
-    }
+// --------------------------------------------------- surge golden digests
+
+using golden::Golden;
+
+// realizations/<variant>: run(i) over i = 0..999, every field
+// (realization_digest), folded in index order.
+// envelope/<variant>: the bits of accumulate_envelope on every active node
+// over the first 200 realizations, folded in index order, for the variants
+// that reshape the envelope (surge config, smoothing band or passes).
+constexpr Golden kGolden[] = {
+    {"realizations/default", "12988ebb396732b14ab3d0c4aa832eb7"},
+    {"realizations/harbor-off", "de4992b2a1cc1406f4f94e46c98135b2"},
+    {"realizations/fragility-on", "390f835864624d76b1c2ccfbd15e5c5a"},
+    {"realizations/sea-level-rise", "5dcf5792d86bbeaa121f604220d1ca94"},
+    {"realizations/passes-0", "6c47ca1c4db9f7efd1f26b715b5fa511"},
+    {"realizations/passes-5", "02744098ef8e19465e33fe399e2181ef"},
+    {"realizations/window-0", "915ef10d8d75a4977c1a871ff37d353f"},
+    {"realizations/band-0", "c15a5f51fb60686aad50b213b9a6df62"},
+    {"realizations/wind-exponent-1", "94e7bd20b8821abc19e785800c6afada"},
+    {"realizations/wind-exponent-0.5", "c35f502ad9729492e43abfc8a3de88bf"},
+    {"realizations/wave-setup-0", "d68735a45fa89acf936b485a9a671b1f"},
+    {"realizations/translation-fraction-0", "32dec8780849a8b896b38b91d2321d5d"},
+    {"realizations/inflow-angle-0", "b8678b3eef438a672b3206de52da11be"},
+    {"realizations/dt-600", "a09af6779131b2dc4c31fd92b05349f8"},
+    {"realizations/considered-distance-60km", "6d546decf6c057e4d5a6f831f383f249"},
+    {"envelope/default", "154000e3876f27620f742bb3dc94bd06"},
+    {"envelope/passes-0", "90d46106bea5a0ff958f2d0d11f92e6b"},
+    {"envelope/passes-5", "ca25b04c86e83ae0c01cb9f1a7ae99f3"},
+    {"envelope/band-0", "c080ab11095a92ee71a288ce19968a95"},
+    {"envelope/wind-exponent-1", "59bf8696d2e98ad025a927bc371c5d2d"},
+    {"envelope/wind-exponent-0.5", "fe1e206c5eebdc80197b41bc558c458b"},
+    {"envelope/wave-setup-0", "c2e4e38dcaeb9a3829837ad9e74de4e1"},
+    {"envelope/translation-fraction-0", "3cc64a392c3dcd4599dc2f134a2d653d"},
+    {"envelope/inflow-angle-0", "84358cf5fee54bd2bdde8792c10853ee"},
+    {"envelope/dt-600", "92e553c051151a11e636a5a748de9eb1"},
+    {"envelope/considered-distance-60km", "529071af9d2534fa1490e7836b5debc0"},
+};
+
+/// Every field of one realization, in a fixed order. A field added to
+/// HurricaneRealization or AssetImpact needs a line here and an entry in
+/// kComparedFields.
+util::Digest realization_digest(const HurricaneRealization& r) {
+  util::Digest d;
+  d.u64(r.index).f64(r.peak_wind_ms).f64(r.max_shoreline_wse_m);
+  d.u64(r.impacts.size());
+  for (const surge::AssetImpact& x : r.impacts) {
+    d.str(x.asset_id)
+        .u64(x.shoreline_station)
+        .f64(x.shoreline_wse_m)
+        .f64(x.water_level_m)
+        .f64(x.inundation_depth_m)
+        .boolean(x.failed)
+        .f64(x.peak_wind_ms)
+        .boolean(x.wind_failed);
   }
+  return d;
 }
 
-TEST(Fastpath, EnvelopeMatchesSolverOnEveryActiveNodeOver200Realizations) {
-  const RealizationConfig config;
-  const RealizationEngine engine(oahu(), oahu_assets(), config);
-  const storm::TrackGenerator generator(config.ensemble);
-  const surge::SurgeSolver solver(config.surge);
-  const geo::EnuProjection& proj = engine.terrain().projection();
-  const surge::MeshBindings& bindings = engine.bindings();
+/// Folds per-item digest values into one cell digest, in item order.
+util::Digest fold(const std::vector<std::array<std::uint64_t, 2>>& values) {
+  util::Digest cell;
+  for (const auto& v : values) cell.u64(v[0]).u64(v[1]);
+  return cell;
+}
 
+TEST(Fastpath, EnvelopeMatchesGoldenDigestsOnEveryActiveNode) {
+  constexpr std::size_t kCount = 200;
   const auto skipped = [] {
     const obs::MetricsSnapshot snapshot = obs::capture_metrics();
     const obs::MetricValue* m = snapshot.find("surge.node_steps_skipped");
     return m != nullptr ? m->value : std::uint64_t{0};
   };
   const std::uint64_t skipped_before = skipped();
-  mesh::NodeField fast;
-  std::size_t mismatches = 0;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    const storm::StormTrack track = generator.generate(config.base_seed, i);
-    bindings.accumulate_envelope(track, proj, fast);
-    const mesh::NodeField reference =
-        solver.max_envelope(engine.coastal_mesh(), track, proj);
-    ASSERT_EQ(fast.size(), reference.size());
-    for (const mesh::NodeId n : bindings.active_nodes()) {
-      if (bits(fast[n]) != bits(reference[n])) {
-        ++mismatches;
-        ADD_FAILURE() << "realization " << i << " node " << n << ": "
-                      << fast[n] << " vs " << reference[n];
+  runtime::TaskPool pool;
+  for (const Variant& v : config_variants()) {
+    if (!v.reshapes_envelope) continue;
+    const RealizationEngine engine(oahu(), oahu_assets(), v.config);
+    const storm::TrackGenerator generator(v.config.ensemble);
+    const surge::MeshBindings& bindings = engine.bindings();
+    std::vector<std::array<std::uint64_t, 2>> values(kCount);
+    pool.parallel_for_each(kCount, 8, [&](std::size_t i) {
+      mesh::NodeField envelope;
+      bindings.accumulate_envelope(
+          generator.generate(v.config.base_seed, i),
+          engine.terrain().projection(), envelope);
+      util::Digest d;
+      for (const mesh::NodeId n : bindings.active_nodes()) {
+        d.u64(n).f64(envelope[n]);
       }
-    }
-    if (mismatches > 10) break;
+      values[i] = d.value();
+    });
+    golden::expect_golden(kGolden, std::string("envelope/") + v.name,
+                          fold(values));
   }
-  EXPECT_EQ(mismatches, 0u);
-  // The identity above must hold with pruning actually engaged.
+  // The goldens above must hold with pruning actually engaged.
   if (obs::enabled()) {
     EXPECT_GT(skipped(), skipped_before);
   }
+}
+
+/// Changes exactly one realization field.
+struct Mutation {
+  std::string_view field;
+  void (*apply)(HurricaneRealization&);
+};
+
+double next_up(double v) {
+  return std::nextafter(v, std::numeric_limits<double>::infinity());
+}
+
+// One entry per digested field (the impact list twice: an element's
+// content and the length). A field dropped from realization_digest fails
+// below; a field added to HurricaneRealization or AssetImpact needs an
+// entry here.
+constexpr Mutation kComparedFields[] = {
+    {"index", [](HurricaneRealization& r) { ++r.index; }},
+    {"peak_wind_ms",
+     [](HurricaneRealization& r) { r.peak_wind_ms = next_up(r.peak_wind_ms); }},
+    {"max_shoreline_wse_m",
+     [](HurricaneRealization& r) {
+       r.max_shoreline_wse_m = next_up(r.max_shoreline_wse_m);
+     }},
+    {"impacts length",
+     [](HurricaneRealization& r) { r.impacts.emplace_back(); }},
+    {"impact asset_id",
+     [](HurricaneRealization& r) { r.impacts.back().asset_id += "!"; }},
+    {"impact shoreline_station",
+     [](HurricaneRealization& r) { ++r.impacts.back().shoreline_station; }},
+    {"impact shoreline_wse_m",
+     [](HurricaneRealization& r) {
+       r.impacts.back().shoreline_wse_m =
+           next_up(r.impacts.back().shoreline_wse_m);
+     }},
+    {"impact water_level_m",
+     [](HurricaneRealization& r) {
+       r.impacts.back().water_level_m = next_up(r.impacts.back().water_level_m);
+     }},
+    {"impact inundation_depth_m",
+     [](HurricaneRealization& r) {
+       r.impacts.back().inundation_depth_m =
+           next_up(r.impacts.back().inundation_depth_m);
+     }},
+    {"impact failed",
+     [](HurricaneRealization& r) { r.impacts.back().failed ^= true; }},
+    {"impact peak_wind_ms",
+     [](HurricaneRealization& r) {
+       r.impacts.back().peak_wind_ms = next_up(r.impacts.back().peak_wind_ms);
+     }},
+    {"impact wind_failed",
+     [](HurricaneRealization& r) { r.impacts.back().wind_failed ^= true; }},
+};
+
+// Every field reaches the digest, so the realization goldens pin exactly
+// what bit-identity means. The attached asset index is a lookup aid, not
+// an output, and stays out.
+TEST(Fastpath, RealizationDigestCoversEveryField) {
+  const HurricaneRealization base =
+      RealizationEngine(oahu(), oahu_assets(), {}).run(0);
+  ASSERT_FALSE(base.impacts.empty());
+  const auto base_digest = realization_digest(base).value();
+  for (const Mutation& m : kComparedFields) {
+    HurricaneRealization mutated = base;
+    m.apply(mutated);
+    EXPECT_NE(realization_digest(mutated).value(), base_digest) << m.field;
+  }
+  HurricaneRealization unindexed = base;
+  unindexed.asset_index.reset();
+  EXPECT_EQ(realization_digest(unindexed).value(), base_digest);
 }
 
 TEST(Fastpath, CallerOwnedScratchReuseIsBitStable) {
@@ -231,13 +372,9 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
   constexpr std::size_t kCount = 40;
   const RealizationEngine engine(oahu(), oahu_assets(), {});
 
-  // Legacy ensemble via the reference path; fast ensemble via the runner's
+  // Serial ensemble via run_batch; pooled ensemble via the runner's
   // guarded batch (which routes through run() on the pool).
-  std::vector<HurricaneRealization> legacy;
-  legacy.reserve(kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    legacy.push_back(engine.run_reference(static_cast<std::uint64_t>(i)));
-  }
+  const std::vector<HurricaneRealization> serial = engine.run_batch(kCount);
 
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
@@ -253,9 +390,9 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
     runtime::EnsembleRunner runner(options);
     const runtime::GeneratedBatch batch = runner.generate_guarded(engine, kCount);
     const std::vector<HurricaneRealization>& fast = batch.realizations;
-    ASSERT_EQ(fast.size(), legacy.size());
+    ASSERT_EQ(fast.size(), serial.size());
     for (std::size_t i = 0; i < kCount; ++i) {
-      expect_bit_identical(fast[i], legacy[i],
+      expect_bit_identical(fast[i], serial[i],
                            "jobs" + std::to_string(jobs) + "[" +
                                std::to_string(i) + "]");
     }
@@ -266,15 +403,15 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
             threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
         const core::ScenarioResult from_fast = pipeline.analyze_lazy(
             config, scenario, [&] { return batch.view(); }, runner, "");
-        const core::ScenarioResult from_legacy =
-            pipeline.analyze(config, scenario, legacy);
-        ASSERT_EQ(from_fast.outcomes.total(), from_legacy.outcomes.total());
+        const core::ScenarioResult from_serial =
+            pipeline.analyze(config, scenario, serial);
+        ASSERT_EQ(from_fast.outcomes.total(), from_serial.outcomes.total());
         for (const threat::OperationalState s :
              {threat::OperationalState::kGreen,
               threat::OperationalState::kOrange,
               threat::OperationalState::kRed,
               threat::OperationalState::kGray}) {
-          EXPECT_EQ(from_fast.outcomes.count(s), from_legacy.outcomes.count(s))
+          EXPECT_EQ(from_fast.outcomes.count(s), from_serial.outcomes.count(s))
               << config.name << " jobs=" << jobs;
         }
       }
@@ -518,6 +655,8 @@ std::string scoped_difference(const HurricaneRealization& full,
   return "";
 }
 
+// The full engine's runs here are also golden A: every field of run(i),
+// i = 0..999, folds into the realizations/<variant> golden.
 TEST(Fastpath, ScopedEnginesMatchTheFullEngineOnTheirSitesOver1000Realizations) {
   constexpr std::size_t kCount = 1000;
   runtime::TaskPool pool;
@@ -528,16 +667,14 @@ TEST(Fastpath, ScopedEnginesMatchTheFullEngineOnTheirSitesOver1000Realizations) 
       scoped.push_back(full.scoped(scope));
       ASSERT_EQ(scoped.back().assets().size(), scope.size()) << v.name;
     }
-    // The scoped engine is its own oracle's equal too.
-    expect_bit_identical(scoped[0].run(3), scoped[0].run_reference(3),
-                         std::string(v.name) + " scoped reference");
-
     std::atomic<std::size_t> mismatches{0};
     std::atomic<std::size_t> wind_failures{0};
     std::mutex mutex;
     std::vector<std::string> messages;
+    std::vector<std::array<std::uint64_t, 2>> values(kCount);
     pool.parallel_for_each(kCount, 8, [&](std::size_t i) {
       const HurricaneRealization want = full.run(i);
+      values[i] = realization_digest(want).value();
       for (std::size_t s = 0; s < scoped.size(); ++s) {
         const HurricaneRealization got = scoped[s].run(i);
         wind_failures += got.wind_damage_count();
@@ -551,6 +688,8 @@ TEST(Fastpath, ScopedEnginesMatchTheFullEngineOnTheirSitesOver1000Realizations) 
         }
       }
     });
+    golden::expect_golden(kGolden, std::string("realizations/") + v.name,
+                          fold(values));
     for (const std::string& m : messages) ADD_FAILURE() << m;
     EXPECT_EQ(mismatches.load(), 0u) << v.name;
     if (v.config.fragility.enabled) {
@@ -682,15 +821,20 @@ TEST(Fastpath, BindingsExposeActiveSubsetAndStencils) {
   }
 
   ASSERT_EQ(b.stencils().size(), engine.assets().size());
-  // The frozen station binding must agree with the live mapper query, and
-  // the frozen barycentric stencil with live interpolation.
+  // The frozen station must be a nearest station to the asset, and the
+  // frozen barycentric stencil must agree with live interpolation.
   mesh::NodeField field(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
     field[i] = 0.25 * static_cast<double>(i % 17) - 1.0;
   }
   for (std::size_t a = 0; a < b.stencils().size(); ++a) {
     const surge::AssetStencil& s = b.stencils()[a];
-    EXPECT_LT(s.station, engine.coastal_mesh().stations.size());
+    ASSERT_LT(s.station, engine.coastal_mesh().stations.size());
+    double nearest = s.station_distance_m;
+    for (const auto& station : engine.coastal_mesh().stations) {
+      nearest = std::min(nearest, geo::distance(s.enu, station.position));
+    }
+    EXPECT_EQ(s.station_distance_m, nearest);
     EXPECT_EQ(bits(b.interpolate_at(field, a)),
               bits(engine.coastal_mesh().mesh.interpolate(field, s.enu)));
   }

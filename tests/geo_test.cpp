@@ -262,55 +262,12 @@ TEST(GridIndex, NearestMatchesBruteForce) {
   }
 }
 
-TEST(GridIndex, WithinMatchesBruteForce) {
-  util::Rng rng(37);
-  std::vector<Vec2> pts;
-  for (int i = 0; i < 300; ++i) {
-    pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
-  }
-  const GridIndex index(pts, 10.0);
-  for (int q = 0; q < 50; ++q) {
-    const Vec2 query{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
-    const double radius = rng.uniform(1.0, 30.0);
-    auto got = index.within(query, radius);
-    std::sort(got.begin(), got.end());
-    std::vector<std::size_t> want;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      if ((pts[i] - query).norm() <= radius) want.push_back(i);
-    }
-    EXPECT_EQ(got, want);
-  }
-}
-
 TEST(GridIndex, EmptyAndDegenerate) {
   const GridIndex empty({}, 10.0);
   EXPECT_EQ(empty.nearest({0, 0}), GridIndex::npos);
-  EXPECT_TRUE(empty.within({0, 0}, 5.0).empty());
   const GridIndex one({{3.0, 4.0}}, 10.0);
   EXPECT_EQ(one.nearest({100.0, 100.0}), 0u);
   EXPECT_THROW(GridIndex({{0, 0}}, 0.0), std::invalid_argument);
-}
-
-TEST(GridIndex, WithinOutParamMatchesAllocatingForm) {
-  util::Rng rng(23, "within-out");
-  std::vector<Vec2> points(400);
-  for (Vec2& p : points) {
-    p = {rng.uniform(-5000.0, 5000.0), rng.uniform(-5000.0, 5000.0)};
-  }
-  const GridIndex index(points, 750.0);
-
-  std::vector<std::size_t> reused{999, 999, 999};  // must be cleared per call
-  for (int q = 0; q < 25; ++q) {
-    const Vec2 query{rng.uniform(-6000.0, 6000.0),
-                     rng.uniform(-6000.0, 6000.0)};
-    const double radius = rng.uniform(0.0, 2500.0);
-    const std::vector<std::size_t> allocated = index.within(query, radius);
-    index.within(query, radius, reused);
-    EXPECT_EQ(reused, allocated);
-  }
-
-  index.within({0.0, 0.0}, -1.0, reused);
-  EXPECT_TRUE(reused.empty());
 }
 
 }  // namespace

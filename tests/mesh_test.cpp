@@ -192,8 +192,8 @@ TEST(CoastalBuilder, Validation) {
 TEST(Field, SmoothPassIsConservativeAndBounded) {
   const TriMesh mesh = square_mesh();
   const NodeField f = {0.0, 10.0, 0.0, 10.0};
-  const NodeField smoothed =
-      smooth_pass(mesh, f, [](NodeId) { return true; });
+  NodeField smoothed;
+  smooth_pass(mesh, f, smoothed, {0, 1, 2, 3});
   for (const double v : smoothed) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 10.0);
@@ -203,16 +203,16 @@ TEST(Field, SmoothPassIsConservativeAndBounded) {
 TEST(Field, SmoothPassConstantFieldIsFixedPoint) {
   const TriMesh mesh = square_mesh();
   const NodeField f(mesh.node_count(), 4.2);
-  const NodeField smoothed =
-      smooth_pass(mesh, f, [](NodeId) { return true; });
+  NodeField smoothed;
+  smooth_pass(mesh, f, smoothed, {0, 1, 2, 3});
   for (const double v : smoothed) EXPECT_DOUBLE_EQ(v, 4.2);
 }
 
-TEST(Field, SmoothPassRespectsPredicate) {
+TEST(Field, SmoothPassTouchesOnlyAffectedNodes) {
   const TriMesh mesh = square_mesh();
   const NodeField f = {0.0, 10.0, 0.0, 10.0};
-  const NodeField smoothed =
-      smooth_pass(mesh, f, [](NodeId n) { return n == 0; });
+  NodeField smoothed{-1.0};  // stale content must not leak
+  smooth_pass(mesh, f, smoothed, {0});
   EXPECT_NE(smoothed[0], f[0]);
   EXPECT_EQ(smoothed[1], f[1]);
   EXPECT_EQ(smoothed[2], f[2]);
@@ -225,7 +225,10 @@ TEST_F(CoastalMeshTest, AverageAndExtendCopiesShoreValuesInland) {
   for (NodeId n = 0; n < cm_->mesh.node_count(); ++n) {
     wse[n] = static_cast<double>(cm_->station_of_node[n] % 7);
   }
-  const NodeField fixed = shoreline_average_and_extend(*cm_, wse, 0.0, 0);
+  NodeField fixed = wse;
+  NodeField scratch;
+  shoreline_average_and_extend(*cm_, make_shoreline_plan(*cm_, 0.0, 0), fixed,
+                               scratch);
   // With zero passes, onshore nodes must exactly equal their station's
   // shoreline value.
   for (NodeId n = 0; n < cm_->mesh.node_count(); ++n) {
@@ -240,11 +243,13 @@ TEST_F(CoastalMeshTest, AverageAndExtendCopiesShoreValuesInland) {
 
 TEST_F(CoastalMeshTest, AverageAndExtendSmoothsCoarseArtifacts) {
   // The paper's motivating artifact: 1.5 m next to 0 m on a coarse mesh.
-  NodeField wse(cm_->mesh.node_count(), 0.0);
+  NodeField fixed(cm_->mesh.node_count(), 0.0);
   for (std::size_t s = 0; s < cm_->stations.size(); ++s) {
-    wse[cm_->shore_nodes[s]] = (s % 2 == 0) ? 1.5 : 0.0;
+    fixed[cm_->shore_nodes[s]] = (s % 2 == 0) ? 1.5 : 0.0;
   }
-  const NodeField fixed = shoreline_average_and_extend(*cm_, wse, 100.0, 3);
+  NodeField scratch;
+  shoreline_average_and_extend(*cm_, make_shoreline_plan(*cm_, 100.0, 3),
+                               fixed, scratch);
   double max_jump = 0.0;
   for (std::size_t s = 1; s < cm_->stations.size(); ++s) {
     max_jump = std::max(max_jump, std::abs(fixed[cm_->shore_nodes[s]] -
@@ -256,61 +261,53 @@ TEST_F(CoastalMeshTest, AverageAndExtendSmoothsCoarseArtifacts) {
 TEST(Field, Validation) {
   const TriMesh mesh = square_mesh();
   NodeField wrong(2);
-  EXPECT_THROW(smooth_pass(mesh, wrong, [](NodeId) { return true; }),
-               std::invalid_argument);
+  NodeField out;
+  EXPECT_THROW(smooth_pass(mesh, wrong, out, {0}), std::invalid_argument);
+  NodeField f(mesh.node_count(), 1.0);
+  EXPECT_THROW(smooth_pass(mesh, f, f, {0}), std::invalid_argument);
   EXPECT_THROW(field_min({}), std::invalid_argument);
   EXPECT_DOUBLE_EQ(field_min({3.0, 1.0, 2.0}), 1.0);
   EXPECT_DOUBLE_EQ(field_max({3.0, 1.0, 2.0}), 3.0);
 }
 
-// --------------------------------------------------- hot-path kernels
+// --------------------------------------------------- shoreline plan
 
-TEST_F(CoastalMeshTest, SmoothPassKernelBitEqualToPredicateForm) {
-  util::Rng rng(7, "smooth-kernel");
-  NodeField field(cm_->mesh.node_count());
-  for (double& v : field) v = rng.uniform(-1.0, 3.0);
-
-  const double band = 2000.0;
-  const auto near_shore = [&](NodeId n) {
-    return std::abs(cm_->offset_of_node[n]) <= band;
-  };
-  std::vector<NodeId> affected;
-  for (NodeId n = 0; n < cm_->mesh.node_count(); ++n) {
-    if (near_shore(n)) affected.push_back(n);
-  }
-
-  const NodeField legacy = smooth_pass(cm_->mesh, field, near_shore);
-  NodeField kernel;
-  smooth_pass(cm_->mesh, field, kernel, affected);
-  ASSERT_EQ(kernel.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(kernel[i], legacy[i]) << "node " << i;
-  }
-
-  EXPECT_THROW(smooth_pass(cm_->mesh, field, field, affected),
-               std::invalid_argument);
-}
-
-TEST_F(CoastalMeshTest, ShorelinePlanInPlaceBitEqualToAllocatingForm) {
+TEST_F(CoastalMeshTest, ShorelinePlanResolvesBandAndExtension) {
   util::Rng rng(11, "plan");
   NodeField field(cm_->mesh.node_count());
   for (double& v : field) v = rng.uniform(0.0, 2.5);
 
   for (const int passes : {0, 1, 3}) {
-    const NodeField expected =
-        shoreline_average_and_extend(*cm_, field, 2000.0, passes);
     const ShorelinePlan plan = make_shoreline_plan(*cm_, 2000.0, passes);
     EXPECT_EQ(plan.passes, passes);
+    std::vector<NodeId> band;
+    for (NodeId n = 0; n < cm_->mesh.node_count(); ++n) {
+      if (std::abs(cm_->offset_of_node[n]) <= 2000.0) band.push_back(n);
+    }
+    EXPECT_EQ(plan.band_nodes, band);
+    ASSERT_EQ(plan.extend_targets.size(), plan.extend_sources.size());
+
     NodeField in_place = field;
     NodeField scratch;
     shoreline_average_and_extend(*cm_, plan, in_place, scratch);
-    ASSERT_EQ(in_place.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(in_place[i], expected[i]) << "passes " << passes
-                                          << " node " << i;
+    for (std::size_t i = 0; i < plan.extend_targets.size(); ++i) {
+      const NodeId target = plan.extend_targets[i];
+      EXPECT_GT(cm_->offset_of_node[target], 0.0);
+      EXPECT_EQ(plan.extend_sources[i],
+                cm_->shore_nodes[cm_->station_of_node[target]]);
+      EXPECT_EQ(in_place[target], in_place[plan.extend_sources[i]])
+          << "passes " << passes << " node " << target;
     }
+    // Averaging is conservative: the fix-up stays within the input range.
+    EXPECT_GE(field_min(in_place), field_min(field));
+    EXPECT_LE(field_max(in_place), field_max(field));
   }
   EXPECT_THROW(make_shoreline_plan(*cm_, 1000.0, -1), std::invalid_argument);
+  NodeField wrong(3);
+  NodeField scratch;
+  EXPECT_THROW(shoreline_average_and_extend(
+                   *cm_, make_shoreline_plan(*cm_, 1000.0, 1), wrong, scratch),
+               std::invalid_argument);
 }
 
 TEST(TriMesh, CsrRowsAreConsistentWithElements) {

@@ -68,8 +68,9 @@ TEST(Harbor, AmplificationScalesInheritedLevel) {
   std::vector<double> high = low;
   const std::vector<bool> sheltered = {false, true};
   const std::vector<std::size_t> sources = {0, 0};
-  surge::apply_harbor_transfer(low, sheltered, sources, 1.0);
-  surge::apply_harbor_transfer(high, sheltered, sources, 1.25);
+  std::vector<double> snapshot;
+  surge::apply_harbor_transfer(low, sheltered, sources, 1.0, snapshot);
+  surge::apply_harbor_transfer(high, sheltered, sources, 1.25, snapshot);
   EXPECT_DOUBLE_EQ(low[1], 2.0);
   EXPECT_DOUBLE_EQ(high[1], 2.5);
 }

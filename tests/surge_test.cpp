@@ -1,6 +1,7 @@
-// Tests for the surge solver, inundation mapping, harbor treatment, and
+// Tests for the surge envelope, inundation mapping, harbor treatment, and
 // the realization engine (fast cases; statistical calibration lives in
 // calibration_test.cpp).
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -8,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include "mesh/field.h"
 #include "scada/oahu.h"
 #include "surge/harbor.h"
 #include "surge/inundation.h"
+#include "surge/mesh_bindings.h"
 #include "surge/realization.h"
 #include "surge/surge_model.h"
 #include "surge/wse_bound.h"
@@ -31,6 +34,32 @@ class SurgeFixture : public ::testing::Test {
   static void TearDownTestSuite() {
     delete cm_;
     delete terrain_;
+  }
+
+  /// The engine's bindings over this mesh for `assets`, with the default
+  /// surge, smoothing and `inundation` parameters.
+  static MeshBindings bindings(const std::vector<ExposedAsset>& assets = {},
+                               const InundationConfig& inundation = {}) {
+    const RealizationConfig c;
+    return MeshBindings(*cm_, terrain_->projection(), c.surge, inundation,
+                        assets, c.smoothing_band_m, c.smoothing_passes);
+  }
+
+  /// The envelope of `track` on the active nodes (0 elsewhere).
+  static mesh::NodeField envelope(const storm::StormTrack& track) {
+    mesh::NodeField out;
+    bindings().accumulate_envelope(track, terrain_->projection(), out);
+    return out;
+  }
+
+  /// Impacts of `assets` under a uniform shoreline WSE of `wse_m`.
+  static std::vector<AssetImpact> impacts(
+      const std::vector<ExposedAsset>& assets, double wse_m,
+      const InundationConfig& inundation = {}) {
+    std::vector<AssetImpact> out;
+    bindings(assets, inundation)
+        .impacts_into(std::vector<double>(cm_->stations.size(), wse_m), out);
+    return out;
   }
 
   static const terrain::Terrain* terrain_;
@@ -57,28 +86,12 @@ storm::StormTrack direct_hit_track() {
 }
 
 TEST_F(SurgeFixture, DirectHitProducesRealisticSurge) {
-  const SurgeSolver solver;
-  const mesh::NodeField envelope =
-      solver.max_envelope(*cm_, direct_hit_track(), terrain_->projection());
-  const double peak = mesh::field_max(envelope);
+  const mesh::NodeField env = envelope(direct_hit_track());
+  const double peak = mesh::field_max(env);
   // A CAT-2 passing over the island should raise 1-4 m somewhere.
   EXPECT_GT(peak, 1.0);
   EXPECT_LT(peak, 5.0);
-  EXPECT_GE(mesh::field_min(envelope), 0.0);
-}
-
-TEST_F(SurgeFixture, EnvelopeDominatesInstantaneous) {
-  const SurgeSolver solver;
-  const storm::StormTrack track = direct_hit_track();
-  const auto& proj = terrain_->projection();
-  const mesh::NodeField envelope = solver.max_envelope(*cm_, track, proj);
-  for (const double t : {6.0 * 3600.0, 12.0 * 3600.0, 18.0 * 3600.0}) {
-    const mesh::NodeField instant =
-        solver.instantaneous(*cm_, track.state_at(t, proj), proj);
-    for (std::size_t i = 0; i < envelope.size(); i += 37) {
-      EXPECT_GE(envelope[i], instant[i] - 1e-9);
-    }
-  }
+  EXPECT_GE(mesh::field_min(env), 0.0);
 }
 
 TEST_F(SurgeFixture, FarAwayStormProducesNoSurge) {
@@ -90,75 +103,71 @@ TEST_F(SurgeFixture, FarAwayStormProducesNoSurge) {
     p.vortex = direct_hit_track().points().front().vortex;
     fixes.push_back(p);
   }
-  const SurgeSolver solver;
-  const mesh::NodeField envelope = solver.max_envelope(
-      *cm_, storm::StormTrack(std::move(fixes)), terrain_->projection());
-  EXPECT_DOUBLE_EQ(mesh::field_max(envelope), 0.0);  // skipped by distance cull
+  const mesh::NodeField env = envelope(storm::StormTrack(std::move(fixes)));
+  EXPECT_DOUBLE_EQ(mesh::field_max(env), 0.0);  // skipped by distance cull
 }
 
 TEST_F(SurgeFixture, StrongerStormMoreSurge) {
-  SurgeConfig config;
-  const SurgeSolver solver(config);
-  const auto& proj = terrain_->projection();
   storm::StormTrack weak = direct_hit_track();
   std::vector<storm::TrackPoint> strong_fixes = weak.points();
   for (auto& p : strong_fixes) p.vortex.central_pressure_pa = 95500.0;
   const storm::StormTrack strong(std::move(strong_fixes));
-  EXPECT_GT(mesh::field_max(solver.max_envelope(*cm_, strong, proj)),
-            mesh::field_max(solver.max_envelope(*cm_, weak, proj)));
+  EXPECT_GT(mesh::field_max(envelope(strong)),
+            mesh::field_max(envelope(weak)));
 }
 
 // ---------------------------------------------------------------- inundation
 
 TEST_F(SurgeFixture, InundationThresholdAndDecay) {
-  const InundationMapper mapper(*cm_, terrain_->projection());
-  std::vector<double> wse(cm_->stations.size(), 2.0);
-
   const ExposedAsset at_shore{"shore", terrain_->projection().to_geo(
                                             cm_->stations[0].position),
                               1.0};
-  const AssetImpact shore_impact = mapper.impact(at_shore, wse);
-  EXPECT_NEAR(shore_impact.water_level_m, 2.0, 0.05);
-  EXPECT_NEAR(shore_impact.inundation_depth_m, 1.0, 0.05);
-  EXPECT_TRUE(shore_impact.failed);
-
   // Same spot but 3 m pad elevation: dry.
   const ExposedAsset high{"high", at_shore.location, 3.0};
-  const AssetImpact high_impact = mapper.impact(high, wse);
-  EXPECT_DOUBLE_EQ(high_impact.inundation_depth_m, 0.0);
-  EXPECT_FALSE(high_impact.failed);
-
   // An asset 3 km inland sees an attenuated water level.
   const geo::Vec2 inland_pos = cm_->stations[0].position -
                                cm_->stations[0].outward_normal * 3000.0;
   const ExposedAsset inland{"inland",
                             terrain_->projection().to_geo(inland_pos), 0.0};
-  const AssetImpact inland_impact = mapper.impact(inland, wse);
-  EXPECT_LT(inland_impact.water_level_m, shore_impact.water_level_m);
-  EXPECT_GT(inland_impact.water_level_m, 0.0);
+  const std::vector<AssetImpact> out = impacts({at_shore, high, inland}, 2.0);
+  ASSERT_EQ(out.size(), 3u);
+
+  const AssetImpact& shore_impact = out[0];
+  EXPECT_EQ(shore_impact.asset_id, "shore");
+  EXPECT_NEAR(shore_impact.water_level_m, 2.0, 0.05);
+  EXPECT_NEAR(shore_impact.inundation_depth_m, 1.0, 0.05);
+  EXPECT_TRUE(shore_impact.failed);
+
+  EXPECT_DOUBLE_EQ(out[1].inundation_depth_m, 0.0);
+  EXPECT_FALSE(out[1].failed);
+
+  EXPECT_LT(out[2].water_level_m, shore_impact.water_level_m);
+  EXPECT_GT(out[2].water_level_m, 0.0);
 }
 
 TEST_F(SurgeFixture, FailureExactlyAboveThreshold) {
   InundationConfig config;
   config.failure_threshold_m = 0.5;
-  const InundationMapper mapper(*cm_, terrain_->projection(), config);
   const geo::GeoPoint loc =
       terrain_->projection().to_geo(cm_->stations[3].position);
-  std::vector<double> wse(cm_->stations.size(), 1.0);
   // depth = 1.0 - elev; elev 0.5 -> depth 0.5 -> NOT failed (strictly >).
-  EXPECT_FALSE(mapper.impact({"a", loc, 0.5}, wse).failed);
-  EXPECT_TRUE(mapper.impact({"b", loc, 0.45}, wse).failed);
+  const std::vector<AssetImpact> out =
+      impacts({{"a", loc, 0.5}, {"b", loc, 0.45}}, 1.0, config);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_FALSE(out[0].failed);
+  EXPECT_TRUE(out[1].failed);
 }
 
 TEST_F(SurgeFixture, InundationValidation) {
-  const InundationMapper mapper(*cm_, terrain_->projection());
-  std::vector<double> wrong(3, 1.0);
-  EXPECT_THROW(mapper.impact({"x", {21.3, -157.9}, 1.0}, wrong),
+  const MeshBindings b = bindings({{"x", {21.3, -157.9}, 1.0}});
+  std::vector<AssetImpact> out;
+  EXPECT_THROW(b.impacts_into(std::vector<double>(3, 1.0), out),
                std::invalid_argument);
   InundationConfig bad;
   bad.decay_length_m = 0.0;
-  EXPECT_THROW(InundationMapper(*cm_, terrain_->projection(), bad),
-               std::invalid_argument);
+  EXPECT_THROW(bindings({}, bad), std::invalid_argument);
+  bad.decay_length_m = -1.0;
+  EXPECT_THROW(bindings({}, bad), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- harbor
@@ -190,55 +199,46 @@ TEST_F(SurgeFixture, PearlHarborStationsAreSheltered) {
   EXPECT_EQ(south_shore_sheltered, 0u);
 }
 
-TEST_F(SurgeFixture, HarborSourceMapPointsToExposedStations) {
-  const auto sheltered = sheltered_stations(*cm_, *terrain_, HarborConfig{});
-  const auto sources = harbor_source_map(*cm_, sheltered);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (sheltered[i]) {
-      EXPECT_FALSE(sheltered[sources[i]]);
-    } else {
-      EXPECT_EQ(sources[i], i);
-    }
-  }
-}
-
 TEST(Harbor, TransferAppliesAmplificationFromSnapshot) {
   std::vector<double> wse = {1.0, 2.0, 3.0};
   const std::vector<bool> sheltered = {false, true, true};
   const std::vector<std::size_t> sources = {0, 0, 0};
-  apply_harbor_transfer(wse, sheltered, sources, 1.1);
+  std::vector<double> snapshot;
+  apply_harbor_transfer(wse, sheltered, sources, 1.1, snapshot);
   EXPECT_DOUBLE_EQ(wse[0], 1.0);
   EXPECT_DOUBLE_EQ(wse[1], 1.1);
   EXPECT_DOUBLE_EQ(wse[2], 1.1);
   EXPECT_THROW(
-      apply_harbor_transfer(wse, {false}, sources, 1.0),
+      apply_harbor_transfer(wse, {false}, sources, 1.0, snapshot),
       std::invalid_argument);
 }
 
 TEST(Harbor, AlongshoreAverageProperties) {
+  std::vector<double> snapshot;
   // Constant field is a fixed point.
   std::vector<double> constant(10, 2.5);
-  alongshore_average(constant, std::vector<bool>(10, false), 3);
+  alongshore_average(constant, std::vector<bool>(10, false), 3, snapshot);
   for (const double v : constant) EXPECT_DOUBLE_EQ(v, 2.5);
 
   // Window 0 is a no-op.
   std::vector<double> field = {1, 2, 3, 4};
   const std::vector<double> before = field;
-  alongshore_average(field, std::vector<bool>(4, false), 0);
+  alongshore_average(field, std::vector<bool>(4, false), 0, snapshot);
   EXPECT_EQ(field, before);
 
   // Averaging is bounded by min/max and skips sheltered stations.
   std::vector<double> mixed = {0.0, 10.0, 0.0, 10.0, 0.0, 10.0};
   std::vector<bool> sheltered(6, false);
   sheltered[2] = true;
-  alongshore_average(mixed, sheltered, 1);
+  alongshore_average(mixed, sheltered, 1, snapshot);
   EXPECT_DOUBLE_EQ(mixed[2], 0.0);  // untouched
   for (const double v : mixed) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 10.0);
   }
-  EXPECT_THROW(alongshore_average(mixed, std::vector<bool>(2, false), 1),
-               std::invalid_argument);
+  EXPECT_THROW(
+      alongshore_average(mixed, std::vector<bool>(2, false), 1, snapshot),
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- engine
@@ -300,7 +300,7 @@ TEST(RealizationEngine, BatchIndicesAreStable) {
   }
 }
 
-TEST_F(SurgeFixture, IndexedHarborSourceMapMatchesReferenceScan) {
+TEST_F(SurgeFixture, HarborSourceMapPicksTheNearestExposedStation) {
   const std::size_t n = cm_->stations.size();
   ASSERT_GT(n, 4u);
 
@@ -319,32 +319,62 @@ TEST_F(SurgeFixture, IndexedHarborSourceMapMatchesReferenceScan) {
     masks.push_back(std::move(one_exposed));
   }
 
+  const auto distance = [&](std::size_t a, std::size_t b) {
+    return geo::distance(cm_->stations[a].position, cm_->stations[b].position);
+  };
   for (std::size_t m = 0; m < masks.size(); ++m) {
-    EXPECT_EQ(harbor_source_map(*cm_, masks[m]),
-              harbor_source_map_reference(*cm_, masks[m]))
-        << "mask " << m;
+    const std::vector<bool>& sheltered = masks[m];
+    const bool any_exposed =
+        std::find(sheltered.begin(), sheltered.end(), false) != sheltered.end();
+    const std::vector<std::size_t> sources = harbor_source_map(*cm_, sheltered);
+    ASSERT_EQ(sources.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t source = sources[i];
+      if (!sheltered[i] || !any_exposed) {
+        EXPECT_EQ(source, i) << "mask " << m << " station " << i;
+        continue;
+      }
+      ASSERT_LT(source, n);
+      EXPECT_FALSE(sheltered[source]) << "mask " << m << " station " << i;
+      const double best = distance(i, source);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (sheltered[j]) continue;
+        EXPECT_GE(distance(i, j), best)
+            << "mask " << m << " station " << i << ": " << j << " is nearer";
+        if (distance(i, j) == best) {
+          EXPECT_GE(j, source) << "mask " << m << " station " << i
+                               << ": a tie goes to the lowest index";
+        }
+      }
+    }
   }
+  EXPECT_THROW(harbor_source_map(*cm_, std::vector<bool>(n - 1, false)),
+               std::invalid_argument);
 }
 
-TEST(Harbor, ScratchOverloadsBitIdentical) {
+TEST(Harbor, SnapshotReuseIsBitStable) {
   const std::vector<bool> sheltered{false, true, false, false, true, false};
   const std::vector<std::size_t> sources{0, 2, 2, 3, 5, 5};
   const std::vector<double> base{1.0, 0.25, 2.0, 1.5, 0.125, 3.0};
 
   std::vector<double> a = base;
   std::vector<double> b = base;
-  std::vector<double> snapshot{-1.0};  // stale content must not leak
-  alongshore_average(a, sheltered, 2);
-  alongshore_average(b, sheltered, 2, snapshot);
+  std::vector<double> fresh;
+  std::vector<double> stale{-1.0};  // stale content must not leak
+  alongshore_average(a, sheltered, 2, fresh);
+  alongshore_average(b, sheltered, 2, stale);
   EXPECT_EQ(a, b);
+  EXPECT_NE(a, base);
 
-  alongshore_average(a, sheltered, 0, snapshot);  // window 0: no-op
+  alongshore_average(a, sheltered, 0, stale);  // window 0: no-op
   EXPECT_EQ(a, b);
 
   std::vector<double> c = a;
-  apply_harbor_transfer(a, sheltered, sources, 1.08);
-  apply_harbor_transfer(c, sheltered, sources, 1.08, snapshot);
+  fresh.clear();
+  apply_harbor_transfer(a, sheltered, sources, 1.08, fresh);
+  apply_harbor_transfer(c, sheltered, sources, 1.08, stale);
   EXPECT_EQ(a, c);
+  EXPECT_NE(a, b);
 }
 
 // ------------------------------------------------- envelope pruning bound
