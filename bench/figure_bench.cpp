@@ -90,10 +90,12 @@ std::string record_json(const ObsBenchRecord& r) {
       << ", \"histogram_observe_ns\": " << r.histogram_observe_ns
       << ", \"span_ns\": " << r.span_ns
       << ", \"span_idle_ns\": " << r.span_idle_ns
-      << ", \"des_runs\": " << r.des_runs << std::setprecision(4)
+      << ", \"des_pairs\": " << r.des_pairs << std::setprecision(4)
       << ", \"des_obs_off_s\": " << r.des_obs_off_s
-      << ", \"des_obs_on_s\": " << r.des_obs_on_s << std::setprecision(3)
-      << ", \"des_overhead\": " << r.des_overhead()
+      << ", \"des_obs_on_s\": " << r.des_obs_on_s << std::setprecision(4)
+      << ", \"des_overhead\": " << r.des_overhead
+      << ", \"des_overhead_lo\": " << r.des_overhead_lo
+      << ", \"des_overhead_hi\": " << r.des_overhead_hi
       << ", \"identical\": " << (r.identical ? "true" : "false") << '}';
   return out.str();
 }

@@ -124,18 +124,16 @@ struct ObsBenchRecord {
   double histogram_observe_ns = 0.0; ///< Histogram::observe, enabled
   double span_ns = 0.0;              ///< Span ctor+dtor, tracing enabled
   double span_idle_ns = 0.0;         ///< Span ctor+dtor, tracing off
-  std::uint64_t des_runs = 0;        ///< DES runs timed per variant
-  double des_obs_off_s = 0.0;        ///< instrumented loop, CT_OBS off
-  double des_obs_on_s = 0.0;         ///< instrumented loop, CT_OBS on
-  bool identical = false;            ///< outcomes bit-identical on vs off
-
+  std::uint64_t des_pairs = 0;       ///< paired off/on DES runs
+  double des_obs_off_s = 0.0;        ///< median run, CT_OBS off
+  double des_obs_on_s = 0.0;         ///< median run, CT_OBS on
   /// Enabled-but-idle cost of the instrumentation on the DES hot loop
-  /// (0.02 = 2% slower; the acceptance bound).
-  double des_overhead() const noexcept {
-    return des_obs_off_s > 0.0 && des_obs_on_s > 0.0
-               ? des_obs_on_s / des_obs_off_s - 1.0
-               : 0.0;
-  }
+  /// (0.02 = 2% slower): the median of the per-pair relative overheads
+  /// and its distribution-free 95% confidence interval.
+  double des_overhead = 0.0;
+  double des_overhead_lo = 0.0;
+  double des_overhead_hi = 0.0;
+  bool identical = false;            ///< outcomes bit-identical on vs off
 };
 
 /// Same line-merge format, separate BENCH_obs.json file tracking the

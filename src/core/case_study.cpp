@@ -22,29 +22,41 @@ CaseStudyRunner::CaseStudyRunner(scada::ScadaTopology topology,
       runtime_(shared_runtime == nullptr ? owned_runtime_.get()
                                          : shared_runtime) {}
 
-const runtime::GeneratedBatch& CaseStudyRunner::generated() {
-  if (!cached_) {
-    batch_ = runtime_->generate_guarded(engine_, options_.realizations);
-    cached_ = true;
-  }
-  return batch_;
-}
-
-const std::vector<surge::HurricaneRealization>& CaseStudyRunner::realizations() {
-  return generated().realizations;
-}
-
-const runtime::FailureLedger& CaseStudyRunner::generation_failures() {
-  return batch_.ledger;
+CaseStudyRunner::Scope& CaseStudyRunner::scope(
+    const std::vector<std::string>& site_ids) {
+  std::vector<std::string> key = site_ids;
+  std::sort(key.begin(), key.end());
+  key.erase(std::unique(key.begin(), key.end()), key.end());
+  return scopes_[std::move(key)];
 }
 
 const surge::RealizationEngine& CaseStudyRunner::scoped_engine(
     const std::vector<std::string>& site_ids) {
-  auto it = scoped_.find(site_ids);
-  if (it == scoped_.end()) {
-    it = scoped_.emplace(site_ids, engine_.scoped(site_ids)).first;
+  if (site_ids.empty()) return engine_;
+  Scope& s = scope(site_ids);
+  if (!s.engine) s.engine.emplace(engine_.scoped(site_ids));
+  return *s.engine;
+}
+
+const runtime::GeneratedBatch& CaseStudyRunner::generated(
+    const std::vector<std::string>& site_ids) {
+  Scope& s = scope(site_ids);
+  if (!s.generated) {
+    s.batch = runtime_->generate_guarded(scoped_engine(site_ids),
+                                         options_.realizations);
+    s.generated = true;
   }
-  return it->second;
+  return s.batch;
+}
+
+const std::vector<surge::HurricaneRealization>& CaseStudyRunner::realizations(
+    const std::vector<std::string>& site_ids) {
+  return generated(site_ids).realizations;
+}
+
+const runtime::FailureLedger& CaseStudyRunner::generation_failures(
+    const std::vector<std::string>& site_ids) {
+  return scope(site_ids).batch.ledger;
 }
 
 const std::string& CaseStudyRunner::batch_digest() {
@@ -55,24 +67,33 @@ const std::string& CaseStudyRunner::batch_digest() {
   return batch_digest_;
 }
 
-ScenarioResult CaseStudyRunner::run(const scada::Configuration& config,
-                                    threat::ThreatScenario scenario) {
+ScenarioResult CaseStudyRunner::analyze(
+    const scada::Configuration& config, threat::ThreatScenario scenario,
+    const std::vector<std::string>& site_ids) {
   // Lazy: a result-cache hit (same topology, configuration, scenario,
   // ensemble, attacker — possibly from a previous process via the disk
   // layer) never generates the realization batch at all. On a miss the
-  // guarded batch's quarantine ledger flows into the ScenarioResult.
+  // guarded batch's quarantine ledger flows into the ScenarioResult. The
+  // scope changes no cell result, so the key is the full ensemble's.
   return pipeline_.analyze_lazy(
-      config, scenario, [this]() { return generated().view(); }, *runtime_,
+      config, scenario,
+      [this, &site_ids]() { return generated(site_ids).view(); }, *runtime_,
       batch_digest());
+}
+
+ScenarioResult CaseStudyRunner::run(const scada::Configuration& config,
+                                    threat::ThreatScenario scenario) {
+  return analyze(config, scenario, site_union({&config, 1}));
 }
 
 std::vector<ScenarioResult> CaseStudyRunner::run_configs(
     const std::vector<scada::Configuration>& configs,
     threat::ThreatScenario scenario) {
+  const std::vector<std::string> sites = site_union(configs);
   std::vector<ScenarioResult> out;
   out.reserve(configs.size());
   for (const scada::Configuration& config : configs) {
-    out.push_back(run(config, scenario));
+    out.push_back(analyze(config, scenario, sites));
   }
   return out;
 }
@@ -92,14 +113,7 @@ ResumableAnalysis CaseStudyRunner::run_all_resumable(
   // A cell reads only asset_failed of its configuration's sites, so the
   // sweep generates from an engine scoped to their union. The ensemble is
   // the same, so the keys stay the full engine's batch digest.
-  std::vector<std::string> sites;
-  for (const scada::Configuration& config : configs) {
-    for (const scada::ControlSite& site : config.sites) {
-      sites.push_back(site.asset_id);
-    }
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  const std::vector<std::string> sites = site_union(configs);
   return pipeline_.analyze_resumable(
       cells,
       [this, &sites]() -> const surge::RealizationEngine& {
@@ -134,6 +148,19 @@ double CaseStudyRunner::conditional_flood_probability(std::string_view a,
   }
   if (b_failures == 0) return 0.0;
   return static_cast<double>(joint) / static_cast<double>(b_failures);
+}
+
+std::vector<std::string> site_union(
+    std::span<const scada::Configuration> configs) {
+  std::vector<std::string> sites;
+  for (const scada::Configuration& config : configs) {
+    for (const scada::ControlSite& site : config.sites) {
+      sites.push_back(site.asset_id);
+    }
+  }
+  std::sort(sites.begin(), sites.end());
+  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  return sites;
 }
 
 CaseStudyRunner make_oahu_case_study(CaseStudyOptions options) {

@@ -36,29 +36,33 @@ std::vector<SitingScore> SitingOptimizer::rank(
     throw std::invalid_argument("SitingOptimizer: bad slot count");
   }
 
+  // Every candidate first, then one scoring pass over the one batch for
+  // the union of their sites.
   std::vector<SitingScore> scores;
+  std::vector<scada::Configuration> configs;
   for_each_combination(
       candidates.size(), slots, [&](const std::vector<std::size_t>& combo) {
-        std::vector<std::string> chosen;
-        chosen.reserve(combo.size());
-        for (const std::size_t i : combo) chosen.push_back(candidates[i]);
-
         SitingScore score;
-        score.chosen = chosen;
-        score.config = builder(chosen);
-        const ScenarioResult result = runner_.run(score.config, scenario);
-        using threat::OperationalState;
-        score.green_probability =
-            result.outcomes.probability(OperationalState::kGreen);
-        score.orange_probability =
-            result.outcomes.probability(OperationalState::kOrange);
-        score.red_probability =
-            result.outcomes.probability(OperationalState::kRed);
-        score.gray_probability =
-            result.outcomes.probability(OperationalState::kGray);
-        score.expected_badness = result.outcomes.expected_badness();
+        score.chosen.reserve(combo.size());
+        for (const std::size_t i : combo) {
+          score.chosen.push_back(candidates[i]);
+        }
+        score.config = builder(score.chosen);
+        configs.push_back(score.config);
         scores.push_back(std::move(score));
       });
+  const std::vector<ScenarioResult> results =
+      runner_.run_configs(configs, scenario);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    using threat::OperationalState;
+    const OutcomeDistribution& outcomes = results[i].outcomes;
+    SitingScore& score = scores[i];
+    score.green_probability = outcomes.probability(OperationalState::kGreen);
+    score.orange_probability = outcomes.probability(OperationalState::kOrange);
+    score.red_probability = outcomes.probability(OperationalState::kRed);
+    score.gray_probability = outcomes.probability(OperationalState::kGray);
+    score.expected_badness = outcomes.expected_badness();
+  }
 
   std::sort(scores.begin(), scores.end(),
             [](const SitingScore& a, const SitingScore& b) {

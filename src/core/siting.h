@@ -36,7 +36,8 @@ using ConfigBuilder =
 class SitingOptimizer {
  public:
   /// The optimizer reuses the runner's cached realizations; the runner must
-  /// outlive the optimizer. Every candidate is scored through the runner's
+  /// outlive the optimizer. A rank call scores every candidate against the
+  /// one batch for the union of the candidates' sites, through the runner's
   /// ensemble runtime, so scoring is sharded across the work-stealing pool
   /// and repeated candidates (across scenarios or rank calls) are served
   /// from the content-addressed result cache instead of being re-swept.

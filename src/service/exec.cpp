@@ -151,12 +151,15 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
 }
 
 /// Synthesizes the "(generation)" accounting row commands that consume
-/// the raw batch (downtime, siting) surface quarantines through.
-core::ScenarioResult generation_result(core::CaseStudyRunner& runner) {
+/// the raw batch (downtime, siting) surface quarantines through, from the
+/// ledger of the batch for `sites`, the one the command read.
+core::ScenarioResult generation_result(core::CaseStudyRunner& runner,
+                                       const std::vector<std::string>& sites) {
+  const runtime::FailureLedger& ledger = runner.generation_failures(sites);
   core::ScenarioResult generation;
   generation.config_name = "(generation)";
-  generation.failures = runner.generation_failures().failures;
-  generation.retries = runner.generation_failures().retries;
+  generation.failures = ledger.failures;
+  generation.retries = ledger.retries;
   generation.attempted = runner.options().realizations;
   generation.completed = generation.attempted - generation.failures.size();
   return generation;
@@ -167,6 +170,7 @@ ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
   ExecOutcome out;
   const std::vector<scada::Configuration> configs =
       request_configs(request, runner.topology());
+  const std::vector<std::string> sites = core::site_union(configs);
   const core::RestorationModel model;
   std::ostringstream os;
   for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
@@ -180,7 +184,8 @@ ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
                        util::Align::kRight});
     for (const auto& config : configs) {
       const core::RestorationResult r = core::analyze_restoration(
-          config, scenario, runner.realizations(), model, runner.runtime(), 0);
+          config, scenario, runner.realizations(sites), model,
+          runner.runtime(), 0);
       table.add_row({config.name,
                      util::format_fixed(r.expected_downtime_hours, 2),
                      util::format_fixed(r.expected_incorrect_hours, 2)});
@@ -191,7 +196,8 @@ ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
   }
   // Restoration consumes the raw batch, so quarantine accounting lives in
   // the generation ledger rather than per-scenario results.
-  const std::vector<core::ScenarioResult> results = {generation_result(runner)};
+  const std::vector<core::ScenarioResult> results = {
+      generation_result(runner, sites)};
   accumulate(out, results);
   const int code = finish_analysis(os, results, request.strict);
   out.exit_code = out.interrupted ? 5 : code;
@@ -230,6 +236,8 @@ ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
   std::ostringstream os;
   os << "backup-site ranking for \"6-6\" (primary " << primary << ", "
      << runner.options().realizations << " realizations)\n\n";
+  // The candidates a ranking scored: their sites name the batch it read.
+  std::vector<scada::Configuration> ranked;
   for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
     if (interrupt != nullptr && interrupt->cancelled()) {
       out.interrupted = true;
@@ -240,17 +248,20 @@ ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
                       {util::Align::kRight, util::Align::kLeft,
                        util::Align::kRight, util::Align::kRight});
     std::size_t rank = 1;
+    ranked.clear();
     for (const core::SitingScore& score :
          optimizer.rank_backup_sites(primary, candidates, scenario)) {
       table.add_row({std::to_string(rank++), score.chosen[0],
                      util::format_percent(score.green_probability, 1),
                      util::format_fixed(score.expected_badness, 3)});
+      ranked.push_back(score.config);
     }
     os << "=== " << threat::scenario_name(scenario) << " ===\n";
     table.render(os);
     os << "\n";
   }
-  const std::vector<core::ScenarioResult> results = {generation_result(runner)};
+  const std::vector<core::ScenarioResult> results = {
+      generation_result(runner, core::site_union(ranked))};
   accumulate(out, results);
   const int code = finish_analysis(os, results, request.strict);
   out.exit_code = out.interrupted ? 5 : code;

@@ -101,6 +101,9 @@ class StormStepKernel {
   double cyclostrophic_coeff() const noexcept { return bdp_; }
   /// |Coriolis parameter| (1/s).
   double coriolis_abs() const noexcept { return f_; }
+  /// cos and sin of the inflow angle that turns the wind toward the center.
+  double inflow_cos() const noexcept { return cos_a_; }
+  double inflow_sin() const noexcept { return sin_a_; }
   double surface_factor() const noexcept { return surface_factor_; }
   double translation_fraction() const noexcept { return translation_fraction_; }
 

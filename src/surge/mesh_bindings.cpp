@@ -16,7 +16,7 @@ namespace ct::surge {
 namespace {
 
 /// Envelope work tallies: node-steps over in-range storm steps, and those
-/// the radial bound skipped.
+/// the step bound skipped.
 struct EnvelopeMetrics {
   obs::Counter node_steps{"surge.node_steps"};
   obs::Counter node_steps_skipped{"surge.node_steps_skipped"};
@@ -251,7 +251,7 @@ void MeshBindings::accumulate_envelope(const storm::StormTrack& track,
                                         step.center,
                                         step.state.translation_ms);
     const double ambient_pa = step.state.vortex.ambient_pressure_pa;
-    const StepWseBound bound(
+    StepWseBound bound(
         surge_, kernel, ambient_pa, step.distance_m - active_extent_,
         (step.distance_m + active_extent_) *
             (1.0 + StepWseBound::kRelativeSlack),
@@ -260,8 +260,8 @@ void MeshBindings::accumulate_envelope(const storm::StormTrack& track,
     for (std::size_t k = 0; k < active_count; ++k) {
       double& env = envelope[active_nodes_[k]];
       if (prune &&
-          bound.at((active_positions_[k] - step.center).norm(),
-                   active_gdepth_[k]) <= env) {
+          bound.at(active_positions_[k] - step.center, active_gdepth_[k],
+                   active_onshore_[k]) <= env) {
         ++skipped;  // wse <= bound <= env: max(env, wse) == env
         continue;
       }

@@ -350,11 +350,11 @@ TEST(EnsembleCaseStudyTest, RunAndResumableShareCacheKeys) {
   expect_same(sweep.results[4], later, "run_all_resumable -> run()");
 }
 
-/// The analyze sweep generates from an engine scoped to its sites, while
-/// run() reads the full engine's batch; both are one ensemble under one
-/// key. A cell the scoped sweep stored is a hit with identical counts for
-/// run(), a cell run() stored is a hit for the sweep, and every count
-/// equals an uncached full-batch run.
+/// The analyze sweep streams from an engine scoped to all its sites, while
+/// run() reads the batch scoped to one configuration's sites; both are one
+/// ensemble under one key. A cell the scoped sweep stored is a hit with
+/// identical counts for run(), a cell run() stored is a hit for the sweep,
+/// and every count equals the serial analysis of the full batch.
 TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
@@ -368,6 +368,9 @@ TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
   uncached.runtime = make_options(4);
 
   core::CaseStudyRunner reference = core::make_oahu_case_study(uncached);
+  const std::vector<surge::HurricaneRealization>& full =
+      reference.realizations();
+  const core::AnalysisPipeline pipeline;
   core::CaseStudyRunner swept = core::make_oahu_case_study(options);
   core::CaseStudyRunner batched = core::make_oahu_case_study(options);
   const core::ResumableAnalysis sweep =
@@ -381,8 +384,8 @@ TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
     for (const scada::Configuration& config : configs) {
       const std::string label =
           config.name + " / " + std::string(threat::scenario_name(scenario));
-      const core::ScenarioResult want = reference.run(config, scenario);
-      EXPECT_FALSE(want.from_cache) << label;
+      const core::ScenarioResult want =
+          pipeline.analyze(config, scenario, full);
       expect_same(want, sweep.results[cell], "scoped sweep " + label);
       const core::ScenarioResult hit = swept.run(config, scenario);
       EXPECT_TRUE(hit.from_cache) << label;

@@ -285,6 +285,42 @@ TEST(Fastpath, EnvelopeMatchesGoldenDigestsOnEveryActiveNode) {
   }
 }
 
+TEST(Fastpath, StepBoundLeavesAtMost4500EvaluatedNodeStepsPerRealization) {
+  // The pruning rate of the direction-aware bound, on the full engine over
+  // the paper seed: node-steps the bound could not skip, per realization.
+  // The radial bound it replaced left about 9,300.
+  constexpr std::size_t kCount = 1000;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  ASSERT_TRUE(obs::enabled())
+      << "the gate reads the surge.node_steps counters";
+  const auto counter = [](const char* name) {
+    const obs::MetricsSnapshot snapshot = obs::capture_metrics();
+    const obs::MetricValue* m = snapshot.find(name);
+    return m != nullptr ? m->value : std::uint64_t{0};
+  };
+  const std::uint64_t steps_before = counter("surge.node_steps");
+  const std::uint64_t skipped_before = counter("surge.node_steps_skipped");
+  const RealizationEngine engine(oahu(), oahu_assets(), RealizationConfig{});
+  const storm::TrackGenerator generator(engine.config().ensemble);
+  runtime::TaskPool pool;
+  pool.parallel_for_each(kCount, 8, [&](std::size_t i) {
+    mesh::NodeField envelope;
+    engine.bindings().accumulate_envelope(
+        generator.generate(engine.config().base_seed, i),
+        engine.terrain().projection(), envelope);
+  });
+  const std::uint64_t steps = counter("surge.node_steps") - steps_before;
+  const std::uint64_t skipped =
+      counter("surge.node_steps_skipped") - skipped_before;
+  obs::set_enabled(was_enabled);
+  ASSERT_GE(steps, skipped);
+  const double evaluated =
+      static_cast<double>(steps - skipped) / static_cast<double>(kCount);
+  EXPECT_LE(evaluated, 4500.0) << "of " << steps / kCount
+                               << " node-steps per realization";
+}
+
 /// Changes exactly one realization field.
 struct Mutation {
   std::string_view field;

@@ -379,14 +379,12 @@ TEST(Harbor, SnapshotReuseIsBitStable) {
 
 // ------------------------------------------------- envelope pruning bound
 
-/// One node-step's WSE, computed exactly as MeshBindings::
-/// accumulate_envelope computes it.
-double kernel_wse(const SurgeConfig& surge,
-                  const storm::StormStepKernel& kernel, double ambient_pa,
-                  geo::Vec2 point, geo::Vec2 onshore, double gdepth) {
+/// One node-step's WSE from the kernel's wind sample `w`, computed exactly
+/// as MeshBindings::accumulate_envelope computes it.
+double kernel_wse(const SurgeConfig& surge, const storm::WindSample& w,
+                  double ambient_pa, geo::Vec2 onshore, double gdepth) {
   const double exponent_m1 = surge.wind_setup_exponent - 1.0;
   const double rho_g = kWaterDensity * kGravity;
-  const storm::WindSample w = kernel.sample(point);
   const double u_on = std::max(0.0, w.velocity_ms.dot(onshore));
   const double eta_wind = surge.wind_setup_scale_m * u_on *
                           std::pow(w.speed_ms, exponent_m1) / gdepth;
@@ -405,20 +403,28 @@ TEST(StepWseBound, BoundsKernelWseAtEveryEdgeAndBeyond) {
   vortices.push_back({97000.0, 101000.0, 0.5, 1.3, 21.0});      // tiny rmax
   vortices.push_back({96500.0, 101000.0, 35000.0, 1.0, 21.0});  // B = 1
   vortices.push_back({96500.0, 101000.0, 35000.0, 2.5, 21.0});  // B = 2.5
+  // No translation, and each moving storm reversed: the translation term
+  // of v.n flips sign with it.
   const std::vector<geo::Vec2> translations = {
-      {0.0, 0.0}, {4.0, 6.5}, {45.0, -30.0}};
-  std::vector<SurgeConfig> configs(2);
+      {0.0, 0.0}, {4.0, 6.5}, {-4.0, -6.5}, {45.0, -30.0}, {-45.0, 30.0}};
+  std::vector<SurgeConfig> configs(3);
   configs[1].wind_setup_exponent = 1.0;
   configs[1].wind_options.inflow_angle_deg = 23.0;
   configs[1].wind_options.translation_fraction = 0.6;
+  // A large wind-setup scale lets the rounding of u_on outweigh the
+  // pressure term's slack where v.n cancels.
+  configs[2].wind_setup_scale_m = 1.0;
   const std::vector<double> depth_floors = {0.5, 2.0, 10.0, 80.0};
 
+  // Onshore directions on the whole circle, plus a shorter one (the bound
+  // takes |onshore| up to the norm passed to it).
   std::vector<geo::Vec2> onshore(64);
   for (std::size_t i = 0; i < onshore.size(); ++i) {
     const double a = 2.0 * std::numbers::pi * static_cast<double>(i) /
                      static_cast<double>(onshore.size());
     onshore[i] = {std::cos(a), std::sin(a)};
   }
+  onshore.push_back({0.3, -0.4});
   // Axis points keep (point - center).norm() == r exactly, so the edge
   // and edge +- 1 ulp radii are hit precisely; diagonals add directions.
   std::vector<geo::Vec2> bearings = {{1, 0}, {0, 1}, {-1, 0}, {0, -1}};
@@ -431,63 +437,89 @@ TEST(StepWseBound, BoundsKernelWseAtEveryEdgeAndBeyond) {
   const double r_far = 250000.0;
   std::size_t checked = 0;
   std::size_t violations = 0;
+  std::size_t compared = 0;     // binned nodes with a wind
+  std::size_t directional = 0;  // of them, offshore bound below onshore
   double tightest = 0.0;  // max wse / bound over the grid
   for (const SurgeConfig& surge : configs) {
     for (const storm::VortexParams& vortex : vortices) {
       for (const geo::Vec2 translation : translations) {
         const storm::StormStepKernel kernel(surge.wind_options, vortex,
                                             center, translation);
-        const double ambient = vortex.ambient_pressure_pa;
-        const StepWseBound bound(surge, kernel, ambient, 0.0, r_far, 1.0);
-        ASSERT_TRUE(bound.enabled());
+        // With the ambient at the central pressure the pressure setup is 0,
+        // so only the absolute allowance covers a node whose v.n cancels.
+        for (const double ambient :
+             {vortex.ambient_pressure_pa, vortex.central_pressure_pa}) {
+          StepWseBound bound(surge, kernel, ambient, 0.0, r_far, 1.0);
+          ASSERT_TRUE(bound.enabled());
 
-        std::vector<double> radii;
-        for (std::size_t j = 0; j < StepWseBound::kBins; ++j) {
-          const double e = bound.edge(j);
-          radii.push_back(std::nextafter(e, 0.0));
-          radii.push_back(e);
-          radii.push_back(std::nextafter(e, kInf));
-          const double next =
-              j + 1 < StepWseBound::kBins ? bound.edge(j + 1) : r_far;
-          radii.push_back((e + next) / 2.0);
-        }
-        for (const double r : {r_far, 1.5 * r_far, 4.0 * r_far}) {
-          radii.push_back(r);
-        }
-        // Conservative lookup: one ulp below an edge reads the bin below.
-        EXPECT_EQ(bound.at(std::nextafter(bound.edge(0), 0.0), 1.0), kInf);
-        for (std::size_t j = 1; j < StepWseBound::kBins; ++j) {
-          EXPECT_EQ(bound.at(std::nextafter(bound.edge(j), 0.0), 9.81),
-                    bound.at(bound.edge(j - 1), 9.81));
-        }
+          std::vector<double> radii;
+          for (std::size_t j = 0; j < StepWseBound::kBins; ++j) {
+            const double e = bound.edge(j);
+            radii.push_back(std::nextafter(e, 0.0));
+            radii.push_back(e);
+            radii.push_back(std::nextafter(e, kInf));
+            const double next =
+                j + 1 < StepWseBound::kBins ? bound.edge(j + 1) : r_far;
+            radii.push_back((e + next) / 2.0);
+          }
+          for (const double r : {r_far, 1.5 * r_far, 4.0 * r_far}) {
+            radii.push_back(r);
+          }
+          // Conservative lookup: one ulp below an edge reads the bin below.
+          const geo::Vec2 n0{0.6, 0.8};
+          EXPECT_EQ(
+              bound.at({std::nextafter(bound.edge(0), 0.0), 0.0}, 1.0, n0),
+              kInf);
+          for (std::size_t j = 1; j < StepWseBound::kBins; ++j) {
+            EXPECT_EQ(
+                bound.at({std::nextafter(bound.edge(j), 0.0), 0.0}, 9.81, n0),
+                bound.at({bound.edge(j - 1), 0.0}, 9.81, n0));
+          }
 
-        for (const double r : radii) {
-          for (const geo::Vec2 bearing : bearings) {
-            const geo::Vec2 point = center + bearing * r;
-            const double r_kernel = (point - center).norm();
-            for (const double floor_m : depth_floors) {
-              const double gdepth = kGravity * floor_m;
-              const double limit = bound.at(r_kernel, gdepth);
-              if (r_kernel >= bound.edge(0)) {
-                EXPECT_TRUE(std::isfinite(limit)) << r_kernel;
+          for (const double r : radii) {
+            for (const geo::Vec2 bearing : bearings) {
+              const geo::Vec2 point = center + bearing * r;
+              const geo::Vec2 radial = point - center;
+              const bool binned = radial.norm() >= bound.edge(0);
+              const storm::WindSample w = kernel.sample(point);
+              // Onshore directions perpendicular to this node's wind: v.n is
+              // a cancellation there, so only the absolute allowance keeps
+              // the bound above the kernel's rounded u_on.
+              std::vector<geo::Vec2> normals = onshore;
+              const geo::Vec2 along = w.velocity_ms.normalized();
+              normals.push_back(along.perp());
+              normals.push_back(along.perp() * -1.0);
+              if (w.speed_ms > 0.0 && binned) {
+                ++compared;
+                directional += bound.at(radial, 9.81, along * -1.0) <
+                               bound.at(radial, 9.81, along);
               }
-              for (const geo::Vec2 n : onshore) {
-                const double wse =
-                    kernel_wse(surge, kernel, ambient, point, n, gdepth);
-                ++checked;
-                if (std::isfinite(limit)) tightest = std::max(tightest, wse / limit);
-                if (!(wse <= limit)) {
-                  ++violations;
-                  if (violations <= 5) {
-                    ADD_FAILURE() << "r=" << r << " wse=" << wse
-                                  << " bound=" << limit
-                                  << " rmax=" << vortex.rmax_m
-                                  << " B=" << vortex.holland_b;
+              for (const double floor_m : depth_floors) {
+                const double gdepth = kGravity * floor_m;
+                for (const geo::Vec2 n : normals) {
+                  const double limit = bound.at(radial, gdepth, n);
+                  if (binned) {
+                    EXPECT_TRUE(std::isfinite(limit)) << r;
+                  }
+                  const double wse = kernel_wse(surge, w, ambient, n, gdepth);
+                  ++checked;
+                  if (std::isfinite(limit)) {
+                    tightest = std::max(tightest, wse / limit);
+                  }
+                  if (!(wse <= limit)) {
+                    ++violations;
+                    if (violations <= 5) {
+                      ADD_FAILURE() << "r=" << r << " wse=" << wse
+                                    << " bound=" << limit << " n=(" << n.x
+                                    << ", " << n.y << ")"
+                                    << " rmax=" << vortex.rmax_m
+                                    << " B=" << vortex.holland_b;
+                    }
                   }
                 }
               }
             }
-          }
+        }
         }
       }
     }
@@ -498,6 +530,10 @@ TEST(StepWseBound, BoundsKernelWseAtEveryEdgeAndBeyond) {
   // aligned with the onshore direction), so a bound that undercuts the
   // kernel anywhere near there fails above.
   EXPECT_GT(tightest, 0.99);
+  // The bound reads the direction: on this grid, every binned node facing
+  // away from its wind gets a lower bound than one facing into it.
+  EXPECT_GT(compared, 0u);
+  EXPECT_EQ(directional, compared);
 }
 
 TEST(StepWseBound, DisabledWhenMonotonicityCannotBeShown) {
@@ -507,9 +543,9 @@ TEST(StepWseBound, DisabledWhenMonotonicityCannotBeShown) {
   const auto enabled = [&](const SurgeConfig& surge, double ambient) {
     const storm::StormStepKernel kernel(surge.wind_options, vortex, center,
                                         translation);
-    const StepWseBound bound(surge, kernel, ambient, 0.0, 250000.0, 1.0);
+    StepWseBound bound(surge, kernel, ambient, 0.0, 250000.0, 1.0);
     if (!bound.enabled()) {
-      EXPECT_EQ(bound.at(100000.0, 20.0),
+      EXPECT_EQ(bound.at({100000.0, 0.0}, 20.0, {1.0, 0.0}),
                 std::numeric_limits<double>::infinity());
     }
     return bound.enabled();
