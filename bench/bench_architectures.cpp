@@ -36,22 +36,32 @@ int main() {
                      util::Align::kRight, util::Align::kRight,
                      util::Align::kRight});
 
+  std::vector<scada::Configuration> configs;
+  std::vector<scada::ArchitectureStyle> styles;
   for (const scada::ArchitectureSpec& spec :
        scada::standard_design_space(/*max_f=*/2, /*max_sites=*/4)) {
     const int sites_needed = scada::required_sites(spec);
     if (sites_needed > static_cast<int>(hosts.size())) continue;
     const std::vector<std::string> assets(hosts.begin(),
                                           hosts.begin() + sites_needed);
-    const scada::Configuration config =
-        scada::design_configuration(spec, assets);
+    configs.push_back(scada::design_configuration(spec, assets));
+    styles.push_back(spec.style);
+  }
 
+  // One sweep scores every design under every scenario.
+  const auto all = threat::all_scenarios();
+  const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
+  const core::ResumableAnalysis analysis = runner.run(configs, scenarios);
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const scada::Configuration& config = configs[c];
     std::vector<std::string> row = {
-        config.name, std::string(architecture_style_name(spec.style)),
+        config.name, std::string(architecture_style_name(styles[c])),
         std::to_string(config.intrusion_tolerance_f),
         std::to_string(config.proactive_recovery_k),
         std::to_string(config.total_replicas())};
-    for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-      const core::ScenarioResult result = runner.run(config, scenario);
+    for (std::size_t s = 0; s < scenarios.size(); ++s) {
+      const core::ScenarioResult& result =
+          analysis.results[s * configs.size() + c];
       row.push_back(util::format_percent(
           result.outcomes.probability(threat::OperationalState::kGreen), 1));
     }

@@ -231,32 +231,6 @@ void BM_DigestRealizations(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestRealizations);
 
-/// Guarded outcome counting over a pre-generated ensemble, cache off —
-/// isolates the per-index bucket fold from realization generation.
-/// Arg = jobs.
-void BM_EnsembleCount(benchmark::State& state) {
-  static const std::vector<surge::HurricaneRealization> rels =
-      engine().run_batch(64);
-  const runtime::EnsembleRunner::BatchFn batch = [] {
-    return runtime::BatchView{&rels, nullptr, rels.size()};
-  };
-  const auto config = scada::make_config_6_6_6(
-      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
-      scada::oahu_ids::kDrFortress);
-  const core::AnalysisPipeline pipeline;
-  runtime::EnsembleRunner runner(
-      runner_options(static_cast<unsigned>(state.range(0)), false));
-  const auto outcome = [&](const surge::HurricaneRealization& r) {
-    return static_cast<int>(pipeline.outcome_for(
-        config, threat::ThreatScenario::kHurricaneIntrusionIsolation, r));
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runner.count_outcomes_guarded(batch, outcome, ""));
-  }
-}
-BENCHMARK(BM_EnsembleCount)->Arg(1)->Arg(8)->Unit(benchmark::kMicrosecond);
-
 /// Serving-mode framing overhead: encode + checksum + decode one
 /// request-sized and one response-sized frame (a few-KiB analysis report).
 /// Bounds what `ctctl --connect` pays over a local run besides the socket.
@@ -680,18 +654,15 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   };
 
   // Degraded path: quarantine-and-retry under an injected fault profile,
-  // generation included (that is where the faults fire).
+  // through the same sweep (generation is where the faults fire).
   runtime::EnsembleOptions fault_options = runner_options(jobs, false);
   fault_options.fault_spec = "throw:every=17";
   fault_options.max_retries = 1;
   runtime::EnsembleRunner faulty(fault_options);
   const auto fault_start = std::chrono::steady_clock::now();
-  const runtime::GeneratedBatch degraded = faulty.generate_guarded(engine(), n);
-  std::vector<core::ScenarioResult> fault_results;
-  for (const auto& config : configs) {
-    fault_results.push_back(pipeline.analyze_lazy(
-        config, scenario, [&]() { return degraded.view(); }, faulty, ""));
-  }
+  const core::ResumableAnalysis degraded = pipeline.analyze_resumable(
+      cells, runtime::fixed_engine(scoped), n, faulty, digest,
+      runtime::CheckpointOptions{});
   const double fault_s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - fault_start)
                              .count();
@@ -707,11 +678,9 @@ bench::RuntimeBenchRecord micro_runtime_record() {
   record.cache_lookups = stats.lookups - cold_stats.lookups;
   record.cache_hits = stats.hits - cold_stats.hits;
   record.fault_s = fault_s;
-  record.fault_quarantined = degraded.ledger.failures.size();
-  record.fault_retries = degraded.ledger.retries;
-  for (const core::ScenarioResult& r : fault_results) {
-    record.fault_retries += r.retries;
-  }
+  // One ledger covers the sweep: every cell carries the same one.
+  record.fault_quarantined = degraded.results.front().failures.size();
+  record.fault_retries = degraded.results.front().retries;
 
   // Checkpointed runtime (PR 7): the fused run_resumable sweep — the whole
   // (5 configs x 1 scenario) matrix as one multi-series pass, generation

@@ -44,7 +44,8 @@ int main() {
                        util::Align::kRight});
     for (const auto& config : configs) {
       const core::RestorationResult r = core::analyze_restoration(
-          config, scenario, realizations, model, /*samples=*/4);
+          config, scenario, realizations, model, runner.runtime(),
+          /*samples=*/4);
       table.add_row({config.name,
                      util::format_fixed(r.expected_downtime_hours, 2),
                      util::format_fixed(r.p95_downtime_hours, 2),

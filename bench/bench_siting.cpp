@@ -44,17 +44,21 @@ int main() {
   core::SitingOptimizer optimizer(runner);
   const auto candidates = scada::oahu_control_site_candidates();
 
-  for (const threat::ThreatScenario scenario :
-       {threat::ThreatScenario::kHurricane,
-        threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
+  // One sweep per ranking scores every candidate under both scenarios.
+  const std::vector<threat::ThreatScenario> scenarios = {
+      threat::ThreatScenario::kHurricane,
+      threat::ThreatScenario::kHurricaneIntrusionIsolation};
+  const core::SitingRanking backups = optimizer.rank_backup_sites(
+      scada::oahu_ids::kHonoluluCc, candidates, scenarios);
+  const core::SitingRanking pairs = optimizer.rank_site_pairs(
+      scada::oahu_ids::kHonoluluCc, candidates, scenarios);
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
     std::cout << "backup site for \"6-6\" under "
-              << threat::scenario_name(scenario) << ":\n";
-    print_scores(optimizer.rank_backup_sites(scada::oahu_ids::kHonoluluCc,
-                                             candidates, scenario));
+              << threat::scenario_name(scenarios[s]) << ":\n";
+    print_scores(backups.by_scenario[s]);
     std::cout << "\n(second CC, data center) for \"6+6+6\" under "
-              << threat::scenario_name(scenario) << ":\n";
-    print_scores(optimizer.rank_site_pairs(scada::oahu_ids::kHonoluluCc,
-                                           candidates, scenario));
+              << threat::scenario_name(scenarios[s]) << ":\n";
+    print_scores(pairs.by_scenario[s]);
     std::cout << "\n";
   }
   std::cout << "expected: Kahe dominates Waiau as backup (the paper's "

@@ -246,7 +246,7 @@ int run_figure_bench(const std::string& figure_id,
 
   const auto timed_run = [&](core::CaseStudyRunner& runner) {
     const auto start = std::chrono::steady_clock::now();
-    auto results = runner.run_configs(configs, scenario);
+    auto results = runner.run(configs, {scenario}).results;
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();

@@ -79,19 +79,21 @@ int main(int argc, char** argv) {
 
   const auto configs =
       scada::paper_configurations("port_cc", "plateau_cc", "bay_dc");
-  for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-    std::cout << "\n=== " << threat::scenario_name(scenario) << " ===\n";
-    core::profile_table(runner.run_configs(configs, scenario))
-        .render(std::cout);
+  const auto all = threat::all_scenarios();
+  const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
+  const core::ResumableAnalysis analysis = runner.run(configs, scenarios);
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    std::cout << "\n=== " << threat::scenario_name(scenarios[s]) << " ===\n";
+    core::profile_table(analysis.row(s, configs.size())).render(std::cout);
   }
 
   // Siting question for this island: where should the backup go?
   core::SitingOptimizer optimizer(runner);
-  const auto scores = optimizer.rank_backup_sites(
+  const core::SitingRanking ranking = optimizer.rank_backup_sites(
       "port_cc", {"plateau_cc", "bay_dc", "north_ss"},
-      threat::ThreatScenario::kHurricane);
+      {threat::ThreatScenario::kHurricane});
   std::cout << "\nbest \"6-6\" backup sites for the port-city primary:\n";
-  for (const auto& s : scores) {
+  for (const auto& s : ranking.by_scenario[0]) {
     std::cout << "  " << s.chosen[0] << ": green "
               << util::format_percent(s.green_probability, 1)
               << ", E[badness] " << util::format_fixed(s.expected_badness, 3)

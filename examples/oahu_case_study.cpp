@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "core/case_study.h"
 #include "core/report.h"
@@ -45,38 +46,48 @@ int main(int argc, char** argv) {
   struct Figure {
     const char* id;
     threat::ThreatScenario scenario;
+  };
+  // One sweep per backup siting covers every figure drawn with it.
+  struct Siting {
     const char* backup;
+    std::vector<Figure> figures;
   };
-  const Figure figures[] = {
-      {"fig6", threat::ThreatScenario::kHurricane, scada::oahu_ids::kWaiauCc},
-      {"fig7", threat::ThreatScenario::kHurricaneIntrusion,
-       scada::oahu_ids::kWaiauCc},
-      {"fig8", threat::ThreatScenario::kHurricaneIsolation,
-       scada::oahu_ids::kWaiauCc},
-      {"fig9", threat::ThreatScenario::kHurricaneIntrusionIsolation,
-       scada::oahu_ids::kWaiauCc},
-      {"fig10", threat::ThreatScenario::kHurricane, scada::oahu_ids::kKaheCc},
-      {"fig11", threat::ThreatScenario::kHurricaneIntrusion,
-       scada::oahu_ids::kKaheCc},
+  const Siting sitings[] = {
+      {scada::oahu_ids::kWaiauCc,
+       {{"fig6", threat::ThreatScenario::kHurricane},
+        {"fig7", threat::ThreatScenario::kHurricaneIntrusion},
+        {"fig8", threat::ThreatScenario::kHurricaneIsolation},
+        {"fig9", threat::ThreatScenario::kHurricaneIntrusionIsolation}}},
+      {scada::oahu_ids::kKaheCc,
+       {{"fig10", threat::ThreatScenario::kHurricane},
+        {"fig11", threat::ThreatScenario::kHurricaneIntrusion}}},
   };
 
-  for (const Figure& figure : figures) {
+  for (const Siting& siting : sitings) {
     const auto configs = scada::paper_configurations(
-        scada::oahu_ids::kHonoluluCc, figure.backup,
+        scada::oahu_ids::kHonoluluCc, siting.backup,
         scada::oahu_ids::kDrFortress);
-    const auto results = runner.run_configs(configs, figure.scenario);
+    std::vector<threat::ThreatScenario> scenarios;
+    for (const Figure& figure : siting.figures) {
+      scenarios.push_back(figure.scenario);
+    }
+    const core::ResumableAnalysis analysis = runner.run(configs, scenarios);
 
-    std::cout << "--- " << figure.id << ": "
-              << threat::scenario_name(figure.scenario) << " (backup: "
-              << figure.backup << ") ---\n";
-    core::profile_table(results).render(std::cout);
-    const double delta =
-        core::max_abs_delta(results, core::paper_expected(figure.id));
-    std::cout << "max delta vs paper: "
-              << util::format_fixed(delta * 100.0, 2) << " pp\n\n";
+    for (std::size_t s = 0; s < siting.figures.size(); ++s) {
+      const Figure& figure = siting.figures[s];
+      const auto results = analysis.row(s, configs.size());
+      std::cout << "--- " << figure.id << ": "
+                << threat::scenario_name(figure.scenario) << " (backup: "
+                << siting.backup << ") ---\n";
+      core::profile_table(results).render(std::cout);
+      const double delta =
+          core::max_abs_delta(results, core::paper_expected(figure.id));
+      std::cout << "max delta vs paper: "
+                << util::format_fixed(delta * 100.0, 2) << " pp\n\n";
 
-    if (csv_file.is_open()) {
-      core::write_profiles_csv(csv_file, figure.id, results);
+      if (csv_file.is_open()) {
+        core::write_profiles_csv(csv_file, figure.id, results);
+      }
     }
   }
 

@@ -55,10 +55,13 @@ int main(int argc, char** argv) {
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
 
-  for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-    std::cout << "=== " << threat::scenario_name(scenario) << " ===\n";
-    const auto results = runner.run_configs(configs, scenario);
-    core::profile_table(results).render(std::cout);
+  // One sweep classifies every (configuration, scenario) cell.
+  const auto all = threat::all_scenarios();
+  const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
+  const core::ResumableAnalysis analysis = runner.run(configs, scenarios);
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    std::cout << "=== " << threat::scenario_name(scenarios[s]) << " ===\n";
+    core::profile_table(analysis.row(s, configs.size())).render(std::cout);
     std::cout << "\n";
   }
   return 0;

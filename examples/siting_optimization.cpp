@@ -30,16 +30,23 @@ int main(int argc, char** argv) {
             << "primary fixed at Honolulu; candidates: "
             << util::join(candidates, ", ") << "\n\n";
 
-  for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-    std::cout << "=== scenario: " << threat::scenario_name(scenario)
+  // One sweep per ranking scores every candidate under every scenario.
+  const auto all = threat::all_scenarios();
+  const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
+  const core::SitingRanking backups = optimizer.rank_backup_sites(
+      scada::oahu_ids::kHonoluluCc, candidates, scenarios);
+  const core::SitingRanking pairs = optimizer.rank_site_pairs(
+      scada::oahu_ids::kHonoluluCc, candidates, scenarios);
+
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    std::cout << "=== scenario: " << threat::scenario_name(scenarios[s])
               << " ===\n\nbest backup for \"6-6\":\n";
     util::TextTable backup_table;
     backup_table.set_columns({"rank", "backup site", "green", "E[badness]"},
                              {util::Align::kRight, util::Align::kLeft,
                               util::Align::kRight, util::Align::kRight});
     std::size_t rank = 1;
-    for (const auto& score : optimizer.rank_backup_sites(
-             scada::oahu_ids::kHonoluluCc, candidates, scenario)) {
+    for (const auto& score : backups.by_scenario[s]) {
       backup_table.add_row({std::to_string(rank++), score.chosen[0],
                             util::format_percent(score.green_probability, 1),
                             util::format_fixed(score.expected_badness, 3)});
@@ -52,8 +59,7 @@ int main(int argc, char** argv) {
                            {util::Align::kRight, util::Align::kLeft,
                             util::Align::kRight, util::Align::kRight});
     rank = 1;
-    for (const auto& score : optimizer.rank_site_pairs(
-             scada::oahu_ids::kHonoluluCc, candidates, scenario)) {
+    for (const auto& score : pairs.by_scenario[s]) {
       pair_table.add_row({std::to_string(rank++),
                           util::join(score.chosen, " + "),
                           util::format_percent(score.green_probability, 1),

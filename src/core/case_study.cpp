@@ -67,38 +67,7 @@ const std::string& CaseStudyRunner::batch_digest() {
   return batch_digest_;
 }
 
-ScenarioResult CaseStudyRunner::analyze(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::vector<std::string>& site_ids) {
-  // Lazy: a result-cache hit (same topology, configuration, scenario,
-  // ensemble, attacker — possibly from a previous process via the disk
-  // layer) never generates the realization batch at all. On a miss the
-  // guarded batch's quarantine ledger flows into the ScenarioResult. The
-  // scope changes no cell result, so the key is the full ensemble's.
-  return pipeline_.analyze_lazy(
-      config, scenario,
-      [this, &site_ids]() { return generated(site_ids).view(); }, *runtime_,
-      batch_digest());
-}
-
-ScenarioResult CaseStudyRunner::run(const scada::Configuration& config,
-                                    threat::ThreatScenario scenario) {
-  return analyze(config, scenario, site_union({&config, 1}));
-}
-
-std::vector<ScenarioResult> CaseStudyRunner::run_configs(
-    const std::vector<scada::Configuration>& configs,
-    threat::ThreatScenario scenario) {
-  const std::vector<std::string> sites = site_union(configs);
-  std::vector<ScenarioResult> out;
-  out.reserve(configs.size());
-  for (const scada::Configuration& config : configs) {
-    out.push_back(analyze(config, scenario, sites));
-  }
-  return out;
-}
-
-ResumableAnalysis CaseStudyRunner::run_all_resumable(
+ResumableAnalysis CaseStudyRunner::run(
     const std::vector<scada::Configuration>& configs,
     const std::vector<threat::ThreatScenario>& scenarios,
     const runtime::CheckpointOptions& ckpt,

@@ -1,9 +1,10 @@
 // Case-study runner: binds a terrain, a SCADA topology, and the hurricane
-// realization engine together and caches the (expensive) realization
-// batches so many configurations/scenarios/sitings can be analyzed against
-// the same natural-disaster input — exactly how the paper's §VI evaluation
-// is structured. A batch is kept per site scope: a consumer that classifies
-// configurations reads the batch of an engine scoped to their sites.
+// realization engine together so many configurations/scenarios/sitings can
+// be analyzed against the same natural-disaster input — exactly how the
+// paper's §VI evaluation is structured. run() classifies a whole
+// (configurations x scenarios) matrix in one sweep from an engine scoped
+// to the configurations' sites; consumers that read realizations
+// themselves get a batch kept per site scope.
 #pragma once
 
 #include <map>
@@ -51,13 +52,14 @@ class CaseStudyRunner {
                   runtime::EnsembleRunner* shared_runtime = nullptr);
 
   /// The realization batch for `site_ids` (generated on first use and
-  /// kept, one per site set): generated by the engine scoped to those
-  /// sites, so each realization holds impacts for them only, bit-identical
-  /// to the full batch's. No sites names the full engine's batch, for the
-  /// consumers that read every asset or arbitrary ids (the flood
-  /// probabilities below). Contains the SURVIVORS when
-  /// generation quarantined realizations — see generation_failures() for
-  /// the ledger.
+  /// kept, one per site set), for consumers that read realizations
+  /// themselves rather than classify them (downtime's restoration fold):
+  /// generated by the engine scoped to those sites, so each realization
+  /// holds impacts for them only, bit-identical to the full batch's. No
+  /// sites names the full engine's batch, for the consumers that read every
+  /// asset or arbitrary ids (the flood probabilities below). Contains the
+  /// SURVIVORS when generation quarantined realizations — see
+  /// generation_failures() for the ledger.
   const std::vector<surge::HurricaneRealization>& realizations(
       const std::vector<std::string>& site_ids = {});
 
@@ -66,30 +68,20 @@ class CaseStudyRunner {
   const runtime::FailureLedger& generation_failures(
       const std::vector<std::string>& site_ids = {});
 
-  /// Analyzes one configuration under one scenario, over the batch for
-  /// its sites.
-  ScenarioResult run(const scada::Configuration& config,
-                     threat::ThreatScenario scenario);
-
-  /// Analyzes several configurations under one scenario, over the one
-  /// batch for the union of their sites.
-  std::vector<ScenarioResult> run_configs(
-      const std::vector<scada::Configuration>& configs,
-      threat::ThreatScenario scenario);
-
-  /// Crash-consistent (configurations x scenarios) sweep matrix: every
-  /// realization is generated once, by an engine scoped to the sites the
-  /// configurations place (see scoped_engine), and classified into every
-  /// live cell, with completed slices journaled under `ckpt` so a killed
-  /// or interrupted run resumes from where it stopped (bit-identical to an
-  /// uninterrupted run). Results come back in row-major order (config
-  /// varies fastest within a scenario). See AnalysisPipeline::
-  /// analyze_resumable and runtime/checkpoint.h.
-  ResumableAnalysis run_all_resumable(
-      const std::vector<scada::Configuration>& configs,
-      const std::vector<threat::ThreatScenario>& scenarios,
-      const runtime::CheckpointOptions& ckpt,
-      runtime::CancellationToken* interrupt = nullptr);
+  /// The one classifying entry point: the (configurations x scenarios)
+  /// cell matrix in one crash-consistent sweep. Every realization is
+  /// generated once, by an engine scoped to the sites the configurations
+  /// place (see scoped_engine), and classified into every cell the result
+  /// cache cannot serve. With a `ckpt` dir, completed slices are journaled
+  /// so a killed or interrupted run resumes from where it stopped
+  /// (bit-identical to an uninterrupted run); `interrupt` stops it at a
+  /// slice boundary. Results come back in row-major order (config varies
+  /// fastest within a scenario; see ResumableAnalysis::row). See
+  /// AnalysisPipeline::analyze_resumable and runtime/checkpoint.h.
+  ResumableAnalysis run(const std::vector<scada::Configuration>& configs,
+                        const std::vector<threat::ThreatScenario>& scenarios,
+                        const runtime::CheckpointOptions& ckpt = {},
+                        runtime::CancellationToken* interrupt = nullptr);
 
   /// Empirical probability that the asset flooded across realizations.
   double asset_flood_probability(std::string_view asset_id);
@@ -109,8 +101,8 @@ class CaseStudyRunner {
 
  private:
   /// Content address of the (engine, realization count) ensemble; computed
-  /// once and shared by run() and run_all_resumable(), so both key the
-  /// result cache identically and warm runs hit it without regenerating.
+  /// once, so every run() keys the result cache identically whatever its
+  /// site scope, and warm runs hit it without regenerating.
   /// Safe even under quarantine: a degraded run is never stored, so the
   /// full-ensemble address can only ever resolve to full-ensemble results.
   const std::string& batch_digest();
@@ -131,11 +123,6 @@ class CaseStudyRunner {
   /// The guarded batch for `site_ids` (generated on first use).
   const runtime::GeneratedBatch& generated(
       const std::vector<std::string>& site_ids);
-  /// One cell over the batch for `site_ids`, which must cover the
-  /// configuration's sites.
-  ScenarioResult analyze(const scada::Configuration& config,
-                         threat::ThreatScenario scenario,
-                         const std::vector<std::string>& site_ids);
 
   scada::ScadaTopology topology_;
   CaseStudyOptions options_;

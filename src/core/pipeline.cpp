@@ -147,26 +147,6 @@ std::string_view AnalysisPipeline::attacker_tag() const noexcept {
   return model_ == AttackerModel::kGreedy ? "greedy" : "exhaustive";
 }
 
-ScenarioResult AnalysisPipeline::analyze_lazy(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const runtime::EnsembleRunner::BatchFn& batch,
-    runtime::EnsembleRunner& runtime,
-    std::string_view realization_set_digest) const {
-  obs::Span span("pipeline.analyze");
-  const std::string key =
-      realization_set_digest.empty()
-          ? std::string()  // unidentified set: skip the cache, stay correct
-          : runtime::EnsembleRunner::job_key(config, scenario, attacker_tag(),
-                                             realization_set_digest);
-  runtime::EnsembleReport report = runtime.count_outcomes_guarded(
-      batch,
-      [&](const surge::HurricaneRealization& r) {
-        return static_cast<int>(outcome_for(config, scenario, r));
-      },
-      key);
-  return result_from_report(config, scenario, std::move(report));
-}
-
 ResumableAnalysis AnalysisPipeline::analyze_resumable(
     const std::vector<SweepCell>& cells,
     const runtime::EnsembleRunner::EngineFn& engine, std::size_t count,
@@ -212,6 +192,12 @@ ResumableAnalysis AnalysisPipeline::analyze_resumable(
                                              std::move(report.series[i])));
   }
   return out;
+}
+
+std::vector<ScenarioResult> ResumableAnalysis::row(std::size_t s,
+                                                   std::size_t width) const {
+  const auto begin = results.begin() + static_cast<std::ptrdiff_t>(s * width);
+  return {begin, begin + static_cast<std::ptrdiff_t>(width)};
 }
 
 LoadedRealizations load_realizations_csv(std::istream& in,

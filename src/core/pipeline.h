@@ -47,11 +47,11 @@ struct ScenarioResult {
   /// PARTIAL distribution when degraded(): only completed realizations.
   OutcomeDistribution outcomes;
   /// True when the outcomes were served by the runtime's result cache
-  /// instead of being recomputed (runner-routed analyze paths only).
+  /// instead of being recomputed (the sweep only).
   bool from_cache = false;
 
-  // Fault-isolation accounting (runner-routed analyze paths; serial
-  // analyze() is batch-fatal and always reports a clean run).
+  // Fault-isolation accounting (the sweep only; serial analyze() is
+  // batch-fatal and always reports a clean run).
   /// Quarantined realizations, ascending by realization index.
   std::vector<runtime::FailureRecord> failures;
   /// Extra attempts spent on retries (healed and exhausted).
@@ -116,6 +116,9 @@ struct ResumableAnalysis {
   std::size_t cached_cells = 0;   ///< cells served whole from the cache
 
   bool complete() const noexcept { return !interrupted; }
+  /// Cells [s * width, (s + 1) * width): scenario `s`'s row of a
+  /// (configurations x scenarios) sweep over `width` configurations.
+  std::vector<ScenarioResult> row(std::size_t s, std::size_t width) const;
 };
 
 /// Which attacker model drives the cyberattack stage.
@@ -142,19 +145,6 @@ class AnalysisPipeline {
   ScenarioResult analyze(
       const scada::Configuration& config, threat::ThreatScenario scenario,
       const std::vector<surge::HurricaneRealization>& realizations) const;
-
-  /// Runner-routed analysis over a materialized batch. `batch` is only
-  /// invoked on a cache miss, so a warm rerun never materializes the
-  /// ensemble at all; its ledger (typically from
-  /// EnsembleRunner::generate_guarded) merges with counting failures into
-  /// the result's quarantine accounting. Bit-identical to the serial
-  /// analyze at any --jobs value. `realization_set_digest` identifies the
-  /// batch (EnsembleRunner::digest_* helpers); "" skips the cache.
-  ScenarioResult analyze_lazy(
-      const scada::Configuration& config, threat::ThreatScenario scenario,
-      const runtime::EnsembleRunner::BatchFn& batch,
-      runtime::EnsembleRunner& runtime,
-      std::string_view realization_set_digest) const;
 
   /// Crash-consistent sweep matrix: analyzes every (configuration,
   /// scenario) cell over realizations [0, count) from `engine`, generating

@@ -153,62 +153,7 @@ RealizationCosts realization_costs(
   return costs;
 }
 
-/// Aggregates per-realization costs in realization order (the fold is the
-/// same whether the costs were computed serially or on the pool).
-RestorationResult fold_costs(const scada::Configuration& config,
-                             threat::ThreatScenario scenario,
-                             const std::vector<RealizationCosts>& per_realization) {
-  RestorationResult result;
-  result.config_name = config.name;
-  result.scenario = scenario;
-
-  util::RunningStats downtime;
-  util::RunningStats incorrect;
-  std::vector<double> sampled_downtimes;
-  std::size_t with_downtime = 0;
-  for (const RealizationCosts& costs : per_realization) {
-    downtime.add(costs.expected.downtime_hours);
-    incorrect.add(costs.expected.incorrect_hours);
-    if (costs.expected.downtime_hours > 0.0) ++with_downtime;
-    sampled_downtimes.insert(sampled_downtimes.end(),
-                             costs.sampled_downtimes.begin(),
-                             costs.sampled_downtimes.end());
-  }
-
-  result.expected_downtime_hours = downtime.mean();
-  result.expected_incorrect_hours = incorrect.mean();
-  result.p95_downtime_hours =
-      sampled_downtimes.empty()
-          ? 0.0
-          : util::exact_quantile(sampled_downtimes, 0.95);
-  result.p_any_downtime =
-      per_realization.empty()
-          ? 0.0
-          : static_cast<double>(with_downtime) /
-                static_cast<double>(per_realization.size());
-  return result;
-}
-
 }  // namespace
-
-RestorationResult analyze_restoration(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const RestorationModel& model, std::size_t samples_per_realization,
-    std::uint64_t seed) {
-  const threat::GreedyWorstCaseAttacker attacker;
-  const threat::AttackerCapability capability =
-      threat::capability_for(scenario);
-  const util::Rng base(seed, "restoration");
-
-  std::vector<RealizationCosts> per_realization(realizations.size());
-  for (std::size_t r = 0; r < realizations.size(); ++r) {
-    per_realization[r] =
-        realization_costs(config, attacker, capability, realizations[r], r,
-                          model, samples_per_realization, base);
-  }
-  return fold_costs(config, scenario, per_realization);
-}
 
 RestorationResult analyze_restoration(
     const scada::Configuration& config, threat::ThreatScenario scenario,
@@ -227,7 +172,35 @@ RestorationResult analyze_restoration(
             realization_costs(config, attacker, capability, realizations[r],
                               r, model, samples_per_realization, base);
       });
-  return fold_costs(config, scenario, per_realization);
+
+  // Fold in realization order: bit-identical at any --jobs value.
+  RestorationResult result;
+  result.config_name = config.name;
+  result.scenario = scenario;
+  util::RunningStats downtime;
+  util::RunningStats incorrect;
+  std::vector<double> sampled_downtimes;
+  std::size_t with_downtime = 0;
+  for (const RealizationCosts& costs : per_realization) {
+    downtime.add(costs.expected.downtime_hours);
+    incorrect.add(costs.expected.incorrect_hours);
+    if (costs.expected.downtime_hours > 0.0) ++with_downtime;
+    sampled_downtimes.insert(sampled_downtimes.end(),
+                             costs.sampled_downtimes.begin(),
+                             costs.sampled_downtimes.end());
+  }
+  result.expected_downtime_hours = downtime.mean();
+  result.expected_incorrect_hours = incorrect.mean();
+  result.p95_downtime_hours =
+      sampled_downtimes.empty()
+          ? 0.0
+          : util::exact_quantile(sampled_downtimes, 0.95);
+  result.p_any_downtime =
+      per_realization.empty()
+          ? 0.0
+          : static_cast<double>(with_downtime) /
+                static_cast<double>(per_realization.size());
+  return result;
 }
 
 }  // namespace ct::core

@@ -71,19 +71,12 @@ struct RestorationResult {
 };
 
 /// Runs the compound-threat pipeline per realization and aggregates
-/// restoration costs. `samples_per_realization` controls the stochastic
-/// percentile estimate (0 disables sampling; p95 falls back to the
-/// deterministic value distribution).
-RestorationResult analyze_restoration(
-    const scada::Configuration& config, threat::ThreatScenario scenario,
-    const std::vector<surge::HurricaneRealization>& realizations,
-    const RestorationModel& model, std::size_t samples_per_realization = 8,
-    std::uint64_t seed = 7);
-
-/// Runner-routed variant: per-realization incident costs are computed on
-/// the runtime's work-stealing pool and folded in realization order, so the
-/// result is bit-identical to the serial overload at any --jobs value (the
-/// per-realization RNG is already derived from (seed, realization index)).
+/// restoration costs. Per-realization incident costs are computed on the
+/// runtime's work-stealing pool and folded in realization order, so the
+/// result is bit-identical at any --jobs value (the per-realization RNG is
+/// derived from (seed, realization index)). `samples_per_realization`
+/// controls the stochastic percentile estimate (0 disables sampling; p95
+/// falls back to the deterministic value distribution).
 RestorationResult analyze_restoration(
     const scada::Configuration& config, threat::ThreatScenario scenario,
     const std::vector<surge::HurricaneRealization>& realizations,

@@ -28,17 +28,17 @@ void for_each_combination(std::size_t n, int k,
 
 }  // namespace
 
-std::vector<SitingScore> SitingOptimizer::rank(
+SitingRanking SitingOptimizer::rank(
     const ConfigBuilder& builder, const std::vector<std::string>& candidates,
-    int slots, threat::ThreatScenario scenario) {
+    int slots, const std::vector<threat::ThreatScenario>& scenarios,
+    runtime::CancellationToken* interrupt) {
   if (!builder) throw std::invalid_argument("SitingOptimizer: null builder");
   if (slots < 1 || static_cast<std::size_t>(slots) > candidates.size()) {
     throw std::invalid_argument("SitingOptimizer: bad slot count");
   }
 
-  // Every candidate first, then one scoring pass over the one batch for
-  // the union of their sites.
-  std::vector<SitingScore> scores;
+  // Every candidate first, then one sweep over candidates x scenarios.
+  std::vector<SitingScore> unscored;
   std::vector<scada::Configuration> configs;
   for_each_combination(
       candidates.size(), slots, [&](const std::vector<std::size_t>& combo) {
@@ -49,34 +49,40 @@ std::vector<SitingScore> SitingOptimizer::rank(
         }
         score.config = builder(score.chosen);
         configs.push_back(score.config);
-        scores.push_back(std::move(score));
+        unscored.push_back(std::move(score));
       });
-  const std::vector<ScenarioResult> results =
-      runner_.run_configs(configs, scenario);
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    using threat::OperationalState;
-    const OutcomeDistribution& outcomes = results[i].outcomes;
-    SitingScore& score = scores[i];
-    score.green_probability = outcomes.probability(OperationalState::kGreen);
-    score.orange_probability = outcomes.probability(OperationalState::kOrange);
-    score.red_probability = outcomes.probability(OperationalState::kRed);
-    score.gray_probability = outcomes.probability(OperationalState::kGray);
-    score.expected_badness = outcomes.expected_badness();
+  SitingRanking out;
+  out.sweep = runner_.run(configs, scenarios, {}, interrupt);
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    std::vector<SitingScore> scores = unscored;
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      using threat::OperationalState;
+      const OutcomeDistribution& outcomes =
+          out.sweep.results[s * configs.size() + i].outcomes;
+      SitingScore& score = scores[i];
+      score.green_probability = outcomes.probability(OperationalState::kGreen);
+      score.orange_probability =
+          outcomes.probability(OperationalState::kOrange);
+      score.red_probability = outcomes.probability(OperationalState::kRed);
+      score.gray_probability = outcomes.probability(OperationalState::kGray);
+      score.expected_badness = outcomes.expected_badness();
+    }
+    std::sort(scores.begin(), scores.end(),
+              [](const SitingScore& a, const SitingScore& b) {
+                if (a.expected_badness != b.expected_badness) {
+                  return a.expected_badness < b.expected_badness;
+                }
+                return a.green_probability > b.green_probability;
+              });
+    out.by_scenario.push_back(std::move(scores));
   }
-
-  std::sort(scores.begin(), scores.end(),
-            [](const SitingScore& a, const SitingScore& b) {
-              if (a.expected_badness != b.expected_badness) {
-                return a.expected_badness < b.expected_badness;
-              }
-              return a.green_probability > b.green_probability;
-            });
-  return scores;
+  return out;
 }
 
-std::vector<SitingScore> SitingOptimizer::rank_backup_sites(
+SitingRanking SitingOptimizer::rank_backup_sites(
     const std::string& primary, const std::vector<std::string>& candidates,
-    threat::ThreatScenario scenario) {
+    const std::vector<threat::ThreatScenario>& scenarios,
+    runtime::CancellationToken* interrupt) {
   std::vector<std::string> pool;
   for (const std::string& c : candidates) {
     if (c != primary) pool.push_back(c);
@@ -85,12 +91,12 @@ std::vector<SitingScore> SitingOptimizer::rank_backup_sites(
       [&primary](const std::vector<std::string>& chosen) {
         return scada::make_config_6_6(primary, chosen.at(0));
       },
-      pool, 1, scenario);
+      pool, 1, scenarios, interrupt);
 }
 
-std::vector<SitingScore> SitingOptimizer::rank_site_pairs(
+SitingRanking SitingOptimizer::rank_site_pairs(
     const std::string& primary, const std::vector<std::string>& candidates,
-    threat::ThreatScenario scenario) {
+    const std::vector<threat::ThreatScenario>& scenarios) {
   std::vector<std::string> pool;
   for (const std::string& c : candidates) {
     if (c != primary) pool.push_back(c);
@@ -99,7 +105,7 @@ std::vector<SitingScore> SitingOptimizer::rank_site_pairs(
       [&primary](const std::vector<std::string>& chosen) {
         return scada::make_config_6_6_6(primary, chosen.at(0), chosen.at(1));
       },
-      pool, 2, scenario);
+      pool, 2, scenarios);
 }
 
 }  // namespace ct::core

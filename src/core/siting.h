@@ -28,6 +28,16 @@ struct SitingScore {
   double expected_badness = 0.0;
 };
 
+/// Output of one rank call: a best-first ranking per scenario, plus the
+/// one sweep that scored every candidate under every scenario.
+struct SitingRanking {
+  /// by_scenario[s] ranks every candidate under the call's scenarios[s].
+  std::vector<std::vector<SitingScore>> by_scenario;
+  /// The sweep's per-cell results (quarantine accounting; interrupted
+  /// when the rankings cover only the realizations done before a cancel).
+  ResumableAnalysis sweep;
+};
+
 /// Builds a configuration from a choice of site ids (e.g. chosen = {backup}
 /// for "6-6", or {second control center, data center} for "6+6+6").
 using ConfigBuilder =
@@ -35,32 +45,35 @@ using ConfigBuilder =
 
 class SitingOptimizer {
  public:
-  /// The optimizer reuses the runner's cached realizations; the runner must
-  /// outlive the optimizer. A rank call scores every candidate against the
-  /// one batch for the union of the candidates' sites, through the runner's
-  /// ensemble runtime, so scoring is sharded across the work-stealing pool
-  /// and repeated candidates (across scenarios or rank calls) are served
-  /// from the content-addressed result cache instead of being re-swept.
+  /// The runner must outlive the optimizer. A rank call builds every
+  /// candidate first, then scores candidates x scenarios in one
+  /// CaseStudyRunner::run: the ensemble is generated once per call, by an
+  /// engine scoped to the union of the candidates' sites, and cells an
+  /// earlier rank or run already scored are served from the
+  /// content-addressed result cache.
   explicit SitingOptimizer(CaseStudyRunner& runner) : runner_(runner) {}
 
   /// Scores every `slots`-combination of `candidates` (no repetition,
-  /// order-insensitive) and returns results sorted best-first (lowest
-  /// expected badness; green probability breaks ties).
-  std::vector<SitingScore> rank(const ConfigBuilder& builder,
-                                const std::vector<std::string>& candidates,
-                                int slots, threat::ThreatScenario scenario);
+  /// order-insensitive) under each scenario and ranks them best-first
+  /// (lowest expected badness; green probability breaks ties).
+  /// `interrupt` stops the sweep at a slice boundary.
+  SitingRanking rank(const ConfigBuilder& builder,
+                     const std::vector<std::string>& candidates, int slots,
+                     const std::vector<threat::ThreatScenario>& scenarios,
+                     runtime::CancellationToken* interrupt = nullptr);
 
   /// Convenience: ranks backup-site choices for a "6-6" architecture with
   /// the given fixed primary.
-  std::vector<SitingScore> rank_backup_sites(
+  SitingRanking rank_backup_sites(
       const std::string& primary, const std::vector<std::string>& candidates,
-      threat::ThreatScenario scenario);
+      const std::vector<threat::ThreatScenario>& scenarios,
+      runtime::CancellationToken* interrupt = nullptr);
 
   /// Convenience: ranks (second control center, data center) pairs for a
   /// "6+6+6" architecture with the given fixed primary.
-  std::vector<SitingScore> rank_site_pairs(
+  SitingRanking rank_site_pairs(
       const std::string& primary, const std::vector<std::string>& candidates,
-      threat::ThreatScenario scenario);
+      const std::vector<threat::ThreatScenario>& scenarios);
 
  private:
   CaseStudyRunner& runner_;

@@ -19,7 +19,6 @@ namespace {
 /// quarantine/retry counters the fault-isolation machinery folds in.
 struct EnsembleMetrics {
   obs::Histogram generate_us{"ensemble.generate_us"};
-  obs::Histogram count_us{"ensemble.count_us"};
   obs::Histogram slice_us{"ensemble.slice_us"};
   obs::Counter quarantined{"ensemble.quarantined"};
   obs::Counter retries{"ensemble.retries"};
@@ -306,65 +305,9 @@ GeneratedBatch EnsembleRunner::generate_guarded(
   return batch;
 }
 
-EnsembleReport EnsembleRunner::count_outcomes_guarded(
-    const BatchFn& batch_fn, const OutcomeFn& outcome,
-    const std::string& key) {
-  if (std::optional<EnsembleReport> hit = cached(key)) return std::move(*hit);
-  const BatchView view = batch_fn();
-  return count_guarded_fresh(*view.realizations,
-                             view.ledger ? *view.ledger : FailureLedger{},
-                             view.attempted, outcome, key);
-}
-
-EnsembleReport EnsembleRunner::count_guarded_fresh(
-    const std::vector<surge::HurricaneRealization>& realizations,
-    FailureLedger generation, std::size_t attempted, const OutcomeFn& outcome,
-    const std::string& key) {
-  obs::Span span("ensemble.count");
-  obs::ScopedTimer timer(ensemble_metrics().count_us);
-  // Per-index bucket slots: a throwing classifier must quarantine ONE
-  // slot, and the serial ascending fold below keeps the histogram
-  // bit-identical at any jobs value.
-  std::vector<std::int8_t> buckets(realizations.size(), 0);
-  IsolatedRunResult run = pool_.for_each_isolated(
-      realizations.size(), options_.chunk,
-      [&](std::size_t i, unsigned /*attempt*/, const CancellationToken& token) {
-        token.poll("ensemble-count");
-        buckets[i] = static_cast<std::int8_t>(outcome(realizations[i]));
-      },
-      task_options());
-  fold_guard_result(run);
-
-  EnsembleReport report;
-  report.attempted = attempted;
-  report.retries = generation.retries + run.retries;
-  report.failures = std::move(generation.failures);
-
-  std::vector<bool> failed(realizations.size(), false);
-  for (const TaskFailure& f : run.failures) {
-    failed[f.index] = true;
-    report.failures.push_back(
-        make_failure_record(f, realizations[f.index].index, 0));
-  }
-  std::sort(report.failures.begin(), report.failures.end(),
-            [](const FailureRecord& a, const FailureRecord& b) {
-              return a.realization < b.realization;
-            });
-
-  for (std::size_t i = 0; i < realizations.size(); ++i) {
-    if (failed[i]) continue;
-    ++report.counts.counts[static_cast<std::size_t>(buckets[i]) &
-                           (report.counts.counts.size() - 1)];
-    ++report.counts.total;
-  }
-  report.completed = report.attempted - report.failures.size();
-  store_if_clean(key, report);
-  return report;
-}
-
 ResumableReport EnsembleRunner::run_resumable(
     const EngineFn& engine_fn, const SweepSpec& spec,
-    const MultiOutcomeFn& outcome, const CheckpointOptions& ckpt,
+    const ClassifyFn& outcome, const CheckpointOptions& ckpt,
     CancellationToken* interrupt) {
   ResumableReport report;
   report.series.assign(spec.series.size(), EnsembleReport{});

@@ -3,17 +3,15 @@
 // core/restoration, core/chaos, the figure benches, ctctl).
 //
 // It combines the work-stealing TaskPool with the content-addressed
-// ResultStore, and offers one guarded path per input shape:
+// ResultStore. Every classifying consumer counts through one path,
+// run_resumable: each realization is generated once and classified into
+// every series of a sweep matrix, with an optional checkpoint journal.
+// generate_guarded materializes the survivors only for callers that read
+// the realizations themselves (downtime's restoration fold, the
+// flood-probability helpers, the benches).
 //
-//  * the fused stream, run_resumable: each realization is generated once
-//    and classified into every series of a sweep matrix, with an optional
-//    checkpoint journal (ctctl analyze, the server's analyze);
-//  * the materialized batch, generate_guarded + count_outcomes_guarded:
-//    the survivors stay in memory for callers that read the batch itself
-//    (downtime, siting, the flood-probability helpers, the figure benches).
-//
-// Both shapes run each realization inside TaskPool::for_each_isolated
-// through one per-index body (realize). A failing realization is retried
+// Both run each realization inside TaskPool::for_each_isolated through one
+// per-index body (realize). A failing realization is retried
 // deterministically with the SAME seed (realization i is a pure function of
 // (base_seed, i), so a retry either heals a transient fault or reproduces a
 // deterministic one), then quarantined into a FailureRecord. Outcomes land
@@ -87,8 +85,6 @@ FailureRecord make_failure_record(const TaskFailure& failure,
                                   std::uint64_t fallback_realization,
                                   std::uint64_t fallback_seed);
 
-struct BatchView;
-
 /// Output of generate_guarded: the surviving realizations (ascending index
 /// order, quarantined slots removed) plus the failure ledger.
 struct GeneratedBatch {
@@ -96,29 +92,14 @@ struct GeneratedBatch {
   FailureLedger ledger;
   std::size_t attempted = 0;
   bool complete() const noexcept { return ledger.failures.empty(); }
-  BatchView view() const noexcept;
 };
-
-/// Non-owning view of a realization batch handed to guarded counting; the
-/// storage must outlive the count_outcomes_guarded call (it always does:
-/// the producer — a GeneratedBatch member or a caller-owned vector — lives
-/// across the call).
-struct BatchView {
-  const std::vector<surge::HurricaneRealization>* realizations = nullptr;
-  const FailureLedger* ledger = nullptr;  ///< null = clean generation
-  std::size_t attempted = 0;
-};
-
-inline BatchView GeneratedBatch::view() const noexcept {
-  return BatchView{&realizations, &ledger, attempted};
-}
 
 /// Outcome of a guarded analysis: the partial histogram over surviving
 /// realizations plus the quarantine ledger and enough accounting to bound
 /// what the quarantined mass could have changed.
 struct EnsembleReport {
   EnsembleCounts counts;                ///< partial distribution (survivors)
-  std::vector<FailureRecord> failures;  ///< generation + counting, by index
+  std::vector<FailureRecord> failures;  ///< quarantined, by index
   std::uint64_t retries = 0;
   std::size_t attempted = 0;  ///< realizations the caller asked for
   std::size_t completed = 0;  ///< attempted - failures.size()
@@ -152,18 +133,13 @@ class EnsembleRunner {
  public:
   explicit EnsembleRunner(EnsembleOptions options = {});
 
-  /// Classifies one realization into an outcome bucket [0, 4).
-  using OutcomeFn = std::function<int(const surge::HurricaneRealization&)>;
   /// Classifies one realization into a bucket [0, 4) PER SERIES: called
   /// once per (series, realization) pair; `series` indexes
   /// SweepSpec::series. run_resumable generates each realization exactly
   /// once and classifies it into every series — this is what lets a
   /// (configurations x scenarios) sweep matrix share one ensemble pass.
-  using MultiOutcomeFn =
+  using ClassifyFn =
       std::function<int(std::size_t series, const surge::HurricaneRealization&)>;
-  /// Lazily materializes a guarded batch view (survivors + failure
-  /// ledger); only called on a cache miss.
-  using BatchFn = std::function<BatchView()>;
   /// Lazily supplies the engine a sweep generates from; only called when
   /// some realization must run, so a fully cached sweep never derives it.
   using EngineFn = std::function<const surge::RealizationEngine&()>;
@@ -175,17 +151,6 @@ class EnsembleRunner {
   /// bit-identical to the engine's serial run_batch.
   GeneratedBatch generate_guarded(const surge::RealizationEngine& engine,
                                   std::size_t count);
-
-  /// Guarded counting over a materialized batch. A cache hit under `key`
-  /// never calls `batch_fn`; a miss materializes the batch (typically via
-  /// generate_guarded) and merges its ledger into the report. Each outcome
-  /// evaluation is isolated (a throwing classifier quarantines one sample,
-  /// not the sweep); the fold over per-index buckets runs in ascending
-  /// index order, bit-identical at any jobs value. `key` is a content
-  /// address from job_key(); "" bypasses the cache.
-  EnsembleReport count_outcomes_guarded(const BatchFn& batch_fn,
-                                        const OutcomeFn& outcome,
-                                        const std::string& key);
 
   /// Crash-consistent sweep: generates realizations [0, spec.count) in
   /// slices of ckpt.interval, classifies each survivor into every series
@@ -203,7 +168,7 @@ class EnsembleRunner {
   /// the cache): a cached series is served whole and never joins the
   /// sweep, and a series is stored only when the sweep completed it clean.
   ResumableReport run_resumable(const EngineFn& engine, const SweepSpec& spec,
-                                const MultiOutcomeFn& outcome,
+                                const ClassifyFn& outcome,
                                 const CheckpointOptions& ckpt,
                                 CancellationToken* interrupt = nullptr);
 
@@ -253,13 +218,6 @@ class EnsembleRunner {
   // stored, so a hit is reported as a complete, clean run.
   std::optional<EnsembleReport> cached(const std::string& key);
   void store_if_clean(const std::string& key, const EnsembleReport& report);
-
-  /// Guarded recount over survivors; merges `generation` accounting into
-  /// the report and stores under `key` only on a fully clean run.
-  EnsembleReport count_guarded_fresh(
-      const std::vector<surge::HurricaneRealization>& realizations,
-      FailureLedger generation, std::size_t attempted,
-      const OutcomeFn& outcome, const std::string& key);
 
   EnsembleOptions options_;
   RuntimeFaultProfile fault_;  // must init before store_ (cache-write rule)

@@ -111,7 +111,7 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
   const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
 
   const core::ResumableAnalysis analysis =
-      runner.run_all_resumable(configs, scenarios, ckpt, interrupt);
+      runner.run(configs, scenarios, ckpt, interrupt);
 
   std::ostringstream os;
   if (!ckpt.dir.empty()) {
@@ -123,11 +123,8 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
 
   std::vector<core::ScenarioResult> all_results;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    // run_all_resumable returns row-major cells: configs within scenario.
-    const auto begin = analysis.results.begin() +
-                       static_cast<std::ptrdiff_t>(s * configs.size());
-    std::vector<core::ScenarioResult> results(
-        begin, begin + static_cast<std::ptrdiff_t>(configs.size()));
+    std::vector<core::ScenarioResult> results =
+        analysis.row(s, configs.size());
     os << "=== " << threat::scenario_name(scenarios[s]) << " ===";
     if (analysis.interrupted) os << " (partial)";
     os << "\n";
@@ -150,18 +147,16 @@ ExecOutcome run_analyze(const Request& request, core::CaseStudyRunner& runner,
   return out;
 }
 
-/// Synthesizes the "(generation)" accounting row commands that consume
-/// the raw batch (downtime, siting) surface quarantines through, from the
-/// ledger of the batch for `sites`, the one the command read.
-core::ScenarioResult generation_result(core::CaseStudyRunner& runner,
-                                       const std::vector<std::string>& sites) {
-  const runtime::FailureLedger& ledger = runner.generation_failures(sites);
+/// The "(generation)" accounting row through which downtime and siting
+/// surface quarantines: one ledger covers the whole ensemble they read.
+core::ScenarioResult generation_result(const runtime::FailureLedger& ledger,
+                                       std::size_t attempted) {
   core::ScenarioResult generation;
   generation.config_name = "(generation)";
   generation.failures = ledger.failures;
   generation.retries = ledger.retries;
-  generation.attempted = runner.options().realizations;
-  generation.completed = generation.attempted - generation.failures.size();
+  generation.attempted = attempted;
+  generation.completed = attempted - ledger.failures.size();
   return generation;
 }
 
@@ -196,8 +191,8 @@ ExecOutcome run_downtime(const Request& request, core::CaseStudyRunner& runner,
   }
   // Restoration consumes the raw batch, so quarantine accounting lives in
   // the generation ledger rather than per-scenario results.
-  const std::vector<core::ScenarioResult> results = {
-      generation_result(runner, sites)};
+  const std::vector<core::ScenarioResult> results = {generation_result(
+      runner.generation_failures(sites), runner.options().realizations)};
   accumulate(out, results);
   const int code = finish_analysis(os, results, request.strict);
   out.exit_code = out.interrupted ? 5 : code;
@@ -229,41 +224,47 @@ ExecOutcome run_siting(const Request& request, core::CaseStudyRunner& runner,
   ExecOutcome out;
   const std::string primary = pick_asset(runner.topology(), request.primary,
                                          scada::oahu_ids::kHonoluluCc);
-  const std::vector<std::string> candidates =
-      siting_candidates(request, runner.topology());
-  core::SitingOptimizer optimizer(runner);
+  const auto all = threat::all_scenarios();
+  const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
+  const core::SitingRanking ranking =
+      core::SitingOptimizer(runner).rank_backup_sites(
+          primary, siting_candidates(request, runner.topology()), scenarios,
+          interrupt);
 
   std::ostringstream os;
   os << "backup-site ranking for \"6-6\" (primary " << primary << ", "
      << runner.options().realizations << " realizations)\n\n";
-  // The candidates a ranking scored: their sites name the batch it read.
-  std::vector<scada::Configuration> ranked;
-  for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-    if (interrupt != nullptr && interrupt->cancelled()) {
-      out.interrupted = true;
-      break;
-    }
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
     util::TextTable table;
     table.set_columns({"rank", "backup site", "green", "E[badness]"},
                       {util::Align::kRight, util::Align::kLeft,
                        util::Align::kRight, util::Align::kRight});
     std::size_t rank = 1;
-    ranked.clear();
-    for (const core::SitingScore& score :
-         optimizer.rank_backup_sites(primary, candidates, scenario)) {
+    for (const core::SitingScore& score : ranking.by_scenario[s]) {
       table.add_row({std::to_string(rank++), score.chosen[0],
                      util::format_percent(score.green_probability, 1),
                      util::format_fixed(score.expected_badness, 3)});
-      ranked.push_back(score.config);
     }
-    os << "=== " << threat::scenario_name(scenario) << " ===\n";
+    os << "=== " << threat::scenario_name(scenarios[s]) << " ===";
+    if (ranking.sweep.interrupted) os << " (partial)";
+    os << "\n";
     table.render(os);
     os << "\n";
   }
+  // Every cell the sweep computed carries its one ledger; a sweep served
+  // whole from the cache has none.
+  runtime::FailureLedger ledger;
+  for (const core::ScenarioResult& r : ranking.sweep.results) {
+    if (!r.from_cache) {
+      ledger = {r.failures, r.retries};
+      break;
+    }
+  }
   const std::vector<core::ScenarioResult> results = {
-      generation_result(runner, core::site_union(ranked))};
+      generation_result(ledger, runner.options().realizations)};
   accumulate(out, results);
   const int code = finish_analysis(os, results, request.strict);
+  out.interrupted = ranking.sweep.interrupted;
   out.exit_code = out.interrupted ? 5 : code;
   out.output = os.str();
   return out;

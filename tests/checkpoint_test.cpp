@@ -470,16 +470,16 @@ std::vector<unsigned> job_counts() {
 
 TEST(RunResumableTest, ColdRunMatchesGuardedCountsAtAnyJobs) {
   const surge::RealizationEngine engine = make_engine();
-  // Reference: the existing guarded path, one series at a time.
+  // Reference: the guarded batch, each series folded serially.
   runtime::EnsembleRunner reference_runner(make_options(1));
   const runtime::GeneratedBatch batch =
       reference_runner.generate_guarded(engine, kSweepCount);
-  std::vector<runtime::EnsembleReport> reference;
+  ASSERT_TRUE(batch.complete());
+  std::vector<runtime::SeriesCounts> reference(2, runtime::SeriesCounts{});
   for (std::size_t s = 0; s < 2; ++s) {
-    reference.push_back(reference_runner.count_outcomes_guarded(
-        [&] { return batch.view(); },
-        [s](const surge::HurricaneRealization& r) { return classify(s, r); },
-        ""));
+    for (const surge::HurricaneRealization& r : batch.realizations) {
+      ++reference[s][static_cast<std::size_t>(classify(s, r))];
+    }
   }
 
   for (const unsigned jobs : job_counts()) {
@@ -492,9 +492,9 @@ TEST(RunResumableTest, ColdRunMatchesGuardedCountsAtAnyJobs) {
     EXPECT_EQ(report.executed, kSweepCount);
     EXPECT_EQ(report.checkpoints, 0u);
     for (std::size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(report.series[s].counts.counts, reference[s].counts.counts)
+      EXPECT_EQ(report.series[s].counts.counts, reference[s])
           << "jobs=" << jobs << " series=" << s;
-      EXPECT_EQ(report.series[s].counts.total, reference[s].counts.total);
+      EXPECT_EQ(report.series[s].counts.total, kSweepCount);
       EXPECT_TRUE(report.series[s].failures.empty());
     }
   }

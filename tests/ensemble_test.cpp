@@ -1,20 +1,23 @@
 // Determinism and cache-correctness tests for the EnsembleRunner — the
 // acceptance gate of the parallel runtime: at any --jobs value the outcome
-// histograms of both production shapes (the fused analyze_resumable stream
-// and the materialized CaseStudyRunner batch) must be bit-identical to the
+// histograms of the one counting path (the fused run_resumable sweep,
+// directly and through CaseStudyRunner::run) must be bit-identical to the
 // serial reference for all five paper configurations x four threat
-// scenarios x multiple seeds, both shapes must share one fault surface, and
-// the cache-hit path must reproduce the cold path exactly (including when
-// the hit comes from disk, across runner instances).
+// scenarios x multiple seeds, the sweep and the materialized batch
+// (generate_guarded) must share one fault surface, and the cache-hit path
+// must reproduce the cold path exactly (including when the hit comes from
+// disk, across runner instances).
 //
 // CT_TEST_JOBS adds one extra thread count to the matrix (CI runs the
 // suite at 1 and 8).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,27 +77,38 @@ void expect_same(const core::ScenarioResult& a, const core::ScenarioResult& b,
   EXPECT_EQ(a.outcomes.total(), b.outcomes.total()) << context;
 }
 
-std::string cell_label(const core::SweepCell& cell) {
-  return cell.config->name + " / " +
-         std::string(threat::scenario_name(cell.scenario));
+std::vector<threat::ThreatScenario> every_scenario() {
+  const auto all = threat::all_scenarios();
+  return {all.begin(), all.end()};
 }
 
-/// The full paper matrix: 5 configurations x 4 scenarios x 3 seeds, at
-/// jobs {1, 2, 4, 8, CT_TEST_JOBS}, through the two paths production runs —
-/// the fused analyze_resumable stream (`ctctl analyze`, checkpointing off)
-/// and CaseStudyRunner::run over the guarded batch — against the serial
-/// AnalysisPipeline::analyze over the engine's serial run_batch.
-TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
-  const auto configs = scada::paper_configurations(
-      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
-      scada::oahu_ids::kDrFortress);
-  const core::AnalysisPipeline pipeline;
+std::vector<core::SweepCell> paper_cells(
+    const std::vector<scada::Configuration>& configs) {
   std::vector<core::SweepCell> cells;
   for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
     for (const auto& config : configs) {
       cells.push_back(core::SweepCell{&config, scenario});
     }
   }
+  return cells;
+}
+
+std::string cell_label(const core::SweepCell& cell) {
+  return cell.config->name + " / " +
+         std::string(threat::scenario_name(cell.scenario));
+}
+
+/// The full paper matrix: 5 configurations x 4 scenarios x 3 seeds, at
+/// jobs {1, 2, 4, 8, CT_TEST_JOBS}, through the fused analyze_resumable
+/// stream over the full engine and through CaseStudyRunner::run (the same
+/// sweep over the engine scoped to the configurations' sites) — against
+/// the serial AnalysisPipeline::analyze over the engine's serial run_batch.
+TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
+  const auto configs = scada::paper_configurations(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+      scada::oahu_ids::kDrFortress);
+  const core::AnalysisPipeline pipeline;
+  const std::vector<core::SweepCell> cells = paper_cells(configs);
   std::vector<unsigned> jobs_matrix = job_counts();
   jobs_matrix.insert(jobs_matrix.begin(), 1u);
 
@@ -125,12 +139,13 @@ TEST(EnsembleDeterminismTest, ParallelMatchesSerialAcrossPaperMatrix) {
       options.realization.base_seed = seed;
       options.runtime = make_options(jobs);
       core::CaseStudyRunner study = core::make_oahu_case_study(options);
+      const core::ResumableAnalysis run = study.run(configs, every_scenario());
+      ASSERT_EQ(run.results.size(), cells.size());
 
       for (std::size_t i = 0; i < cells.size(); ++i) {
         const std::string context = cell_label(cells[i]) + at;
         expect_same(want[i], fused.results[i], "analyze_resumable " + context);
-        expect_same(want[i], study.run(*cells[i].config, cells[i].scenario),
-                    "CaseStudyRunner::run " + context);
+        expect_same(want[i], run.results[i], "CaseStudyRunner::run " + context);
       }
     }
   }
@@ -163,58 +178,64 @@ TEST(EnsembleCacheTest, WarmHitIsByteIdenticalToColdPath) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
+  const std::vector<core::SweepCell> cells = paper_cells(configs);
   const core::AnalysisPipeline pipeline;
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
+  const std::string digest =
+      runtime::EnsembleRunner::digest_engine_batch(engine, kRealizations);
 
   runtime::EnsembleRunner runner(make_options(4, /*cache=*/true));
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleRunner::BatchFn view = [&] { return batch.view(); };
-  const std::string digest =
-      runtime::EnsembleRunner::digest_realizations(batch.realizations);
-
-  for (const auto& config : configs) {
-    for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
-      const core::ScenarioResult cold =
-          pipeline.analyze_lazy(config, scenario, view, runner, digest);
-      const core::ScenarioResult warm =
-          pipeline.analyze_lazy(config, scenario, view, runner, digest);
-      EXPECT_FALSE(cold.from_cache);
-      EXPECT_TRUE(warm.from_cache) << config.name;
-      expect_same(cold, warm, config.name);
-    }
+  const auto sweep = [&] {
+    return pipeline.analyze_resumable(cells, runtime::fixed_engine(engine),
+                                      kRealizations, runner, digest,
+                                      runtime::CheckpointOptions{});
+  };
+  const core::ResumableAnalysis cold = sweep();
+  const core::ResumableAnalysis warm = sweep();
+  EXPECT_EQ(cold.cached_cells, 0u);
+  EXPECT_EQ(warm.cached_cells, cells.size());
+  EXPECT_EQ(warm.executed, 0u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_FALSE(cold.results[i].from_cache);
+    EXPECT_TRUE(warm.results[i].from_cache) << cell_label(cells[i]);
+    expect_same(cold.results[i], warm.results[i], cell_label(cells[i]));
   }
   const auto stats = runner.cache_stats();
   EXPECT_EQ(stats.hits, configs.size() * threat::all_scenarios().size());
 }
 
-/// On a hit the lazy path must not materialize the ensemble at all.
+/// On a hit the sweep must not even derive its engine: the lazy engine
+/// provider runs only when some realization must be generated.
 TEST(EnsembleCacheTest, LazyProviderSkippedOnHit) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   runtime::EnsembleRunner runner(make_options(2, /*cache=*/true));
-  const runtime::GeneratedBatch batch =
-      runner.generate_guarded(engine, kRealizations);
 
   int provider_calls = 0;
-  const runtime::EnsembleRunner::BatchFn provide = [&] {
+  const runtime::EnsembleRunner::EngineFn provide =
+      [&]() -> const surge::RealizationEngine& {
     ++provider_calls;
-    return batch.view();
+    return engine;
   };
-  const runtime::EnsembleRunner::OutcomeFn outcome =
-      [](const surge::HurricaneRealization& r) {
-        return r.impacts.empty() ? 0 : 1;
-      };
-  const std::string key = "ab12cd34ab12cd34ab12cd34ab12cd34";
+  runtime::SweepSpec spec;
+  spec.digest = "lazy-provider";
+  spec.count = kRealizations;
+  spec.series = {"ab12cd34ab12cd34ab12cd34ab12cd34"};
+  const auto outcome = [](std::size_t, const surge::HurricaneRealization& r) {
+    return r.impacts.empty() ? 0 : 1;
+  };
 
-  const auto cold = runner.count_outcomes_guarded(provide, outcome, key);
+  const runtime::ResumableReport cold = runner.run_resumable(
+      provide, spec, outcome, runtime::CheckpointOptions{});
   EXPECT_EQ(provider_calls, 1);
-  EXPECT_FALSE(cold.counts.from_cache);
+  EXPECT_FALSE(cold.series[0].counts.from_cache);
 
-  const auto warm = runner.count_outcomes_guarded(provide, outcome, key);
-  EXPECT_EQ(provider_calls, 1) << "hit must not materialize the ensemble";
-  EXPECT_TRUE(warm.counts.from_cache);
-  EXPECT_EQ(warm.counts.counts, cold.counts.counts);
-  EXPECT_EQ(warm.counts.total, cold.counts.total);
+  const runtime::ResumableReport warm = runner.run_resumable(
+      provide, spec, outcome, runtime::CheckpointOptions{});
+  EXPECT_EQ(provider_calls, 1) << "hit must not derive the engine";
+  EXPECT_EQ(warm.executed, 0u);
+  EXPECT_TRUE(warm.series[0].counts.from_cache);
+  EXPECT_EQ(warm.series[0].counts.counts, cold.series[0].counts.counts);
+  EXPECT_EQ(warm.series[0].counts.total, cold.series[0].counts.total);
 }
 
 /// Disk cache: a second runner (fresh memory) in the same cache dir gets
@@ -229,7 +250,8 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
       scada::oahu_ids::kDrFortress);
   const core::AnalysisPipeline pipeline;
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
-  const auto scenario = threat::ThreatScenario::kHurricaneIntrusionIsolation;
+  const std::vector<core::SweepCell> cells = {core::SweepCell{
+      &configs[0], threat::ThreatScenario::kHurricaneIntrusionIsolation}};
 
   runtime::EnsembleOptions options = make_options(2, /*cache=*/true);
   options.disk_cache = true;
@@ -240,23 +262,26 @@ TEST(EnsembleCacheTest, DiskCacheSharedAcrossRunnerInstances) {
   core::ScenarioResult cold;
   {
     runtime::EnsembleRunner writer(options);
-    const runtime::GeneratedBatch batch =
-        writer.generate_guarded(engine, kRealizations);
-    cold = pipeline.analyze_lazy(
-        configs[0], scenario, [&] { return batch.view(); }, writer, digest);
+    cold = pipeline
+               .analyze_resumable(cells, runtime::fixed_engine(engine),
+                                  kRealizations, writer, digest,
+                                  runtime::CheckpointOptions{})
+               .results[0];
     EXPECT_FALSE(cold.from_cache);
   }
 
-  // The reader never generates: a hit must not call the batch producer.
+  // The reader never generates: a hit must not derive the engine.
   runtime::EnsembleRunner reader(options);
-  const std::vector<surge::HurricaneRealization> none;
-  const core::ScenarioResult warm = pipeline.analyze_lazy(
-      configs[0], scenario,
-      [&] {
-        ADD_FAILURE() << "disk hit materialized the batch";
-        return runtime::BatchView{&none, nullptr, 0};
-      },
-      reader, digest);
+  const core::ScenarioResult warm =
+      pipeline
+          .analyze_resumable(
+              cells,
+              [&]() -> const surge::RealizationEngine& {
+                ADD_FAILURE() << "disk hit derived the engine";
+                return engine;
+              },
+              kRealizations, reader, digest, runtime::CheckpointOptions{})
+          .results[0];
   EXPECT_TRUE(warm.from_cache);
   expect_same(cold, warm, "disk round-trip");
   EXPECT_EQ(reader.cache_stats().disk_hits, 1u);
@@ -287,9 +312,9 @@ TEST(EnsembleCacheTest, EngineBatchDigestTracksKnobs) {
                                                                kRealizations));
 }
 
-/// End-to-end through the CaseStudyRunner facade: run_configs at several
-/// jobs values matches the serial runner, and a repeated run() is served
-/// from the cache.
+/// End-to-end through the CaseStudyRunner facade: run at several jobs
+/// values matches the serial runner, and a repeated run is served from the
+/// cache.
 TEST(EnsembleCaseStudyTest, RunnerFacadeDeterministicAndCached) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
@@ -300,29 +325,30 @@ TEST(EnsembleCaseStudyTest, RunnerFacadeDeterministicAndCached) {
   serial_options.realizations = kRealizations;
   serial_options.runtime = make_options(1);
   core::CaseStudyRunner serial = core::make_oahu_case_study(serial_options);
-  const auto want = serial.run_configs(configs, scenario);
+  const auto want = serial.run(configs, {scenario}).results;
 
   for (const unsigned jobs : job_counts()) {
     core::CaseStudyOptions options;
     options.realizations = kRealizations;
     options.runtime = make_options(jobs, /*cache=*/true);
     core::CaseStudyRunner runner = core::make_oahu_case_study(options);
-    const auto got = runner.run_configs(configs, scenario);
+    const auto got = runner.run(configs, {scenario}).results;
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       expect_same(want[i], got[i],
                   configs[i].name + " jobs " + std::to_string(jobs));
     }
-    const auto again = runner.run(configs[0], scenario);
-    EXPECT_TRUE(again.from_cache);
-    expect_same(want[0], again, "cached rerun");
+    const core::ResumableAnalysis again = runner.run(configs, {scenario});
+    EXPECT_EQ(again.cached_cells, configs.size());
+    EXPECT_EQ(again.executed, 0u);
+    expect_same(want[0], again.results[0], "cached rerun");
   }
 }
 
-/// run() and run_all_resumable() key the result cache identically: a cell
-/// run() computed is served whole by the fused sweep, and the sweep's own
-/// stores serve later run() calls.
-TEST(EnsembleCaseStudyTest, RunAndResumableShareCacheKeys) {
+/// Every run() keys the result cache by the full ensemble, so a cell
+/// stored by one sweep is served to a sweep over a different cell set, in
+/// both directions.
+TEST(EnsembleCaseStudyTest, SweepsOverDifferentCellSetsShareCacheKeys) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
@@ -332,35 +358,36 @@ TEST(EnsembleCaseStudyTest, RunAndResumableShareCacheKeys) {
   options.runtime = make_options(2, /*cache=*/true);
   core::CaseStudyRunner runner = core::make_oahu_case_study(options);
 
-  const core::ScenarioResult first = runner.run(configs[0], scenario);
+  const core::ScenarioResult first =
+      runner.run({configs[0]}, {scenario}).results[0];
   EXPECT_FALSE(first.from_cache);
 
-  const core::ResumableAnalysis sweep =
-      runner.run_all_resumable(configs, {scenario}, {});
+  const core::ResumableAnalysis sweep = runner.run(configs, {scenario});
   ASSERT_EQ(sweep.results.size(), configs.size());
   EXPECT_EQ(sweep.cached_cells, 1u);
   EXPECT_TRUE(sweep.results[0].from_cache);
-  expect_same(first, sweep.results[0], "run() -> run_all_resumable");
+  expect_same(first, sweep.results[0], "one-cell sweep -> matrix sweep");
   for (std::size_t i = 1; i < configs.size(); ++i) {
     EXPECT_FALSE(sweep.results[i].from_cache) << configs[i].name;
   }
 
-  const core::ScenarioResult later = runner.run(configs[4], scenario);
+  const core::ScenarioResult later =
+      runner.run({configs[4]}, {scenario}).results[0];
   EXPECT_TRUE(later.from_cache);
-  expect_same(sweep.results[4], later, "run_all_resumable -> run()");
+  expect_same(sweep.results[4], later, "matrix sweep -> one-cell sweep");
 }
 
-/// The analyze sweep streams from an engine scoped to all its sites, while
-/// run() reads the batch scoped to one configuration's sites; both are one
-/// ensemble under one key. A cell the scoped sweep stored is a hit with
-/// identical counts for run(), a cell run() stored is a hit for the sweep,
-/// and every count equals the serial analysis of the full batch.
-TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
+/// A sweep over all the paper configurations generates from the engine
+/// scoped to their three sites; a sweep over one configuration, from the
+/// engine scoped to that configuration's sites. Both are one ensemble
+/// under one key: a cell either stored is a hit with identical counts for
+/// the other, and every count equals the serial analysis of the full
+/// batch.
+TEST(EnsembleCaseStudyTest, SweepsOverDifferentSiteScopesServeEachOthersCells) {
   const auto configs = scada::paper_configurations(
       scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
       scada::oahu_ids::kDrFortress);
-  const auto all = threat::all_scenarios();
-  const std::vector<threat::ThreatScenario> scenarios(all.begin(), all.end());
+  const std::vector<threat::ThreatScenario> scenarios = every_scenario();
   core::CaseStudyOptions options;
   options.realizations = 200;
   options.runtime = make_options(4, /*cache=*/true);
@@ -372,9 +399,8 @@ TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
       reference.realizations();
   const core::AnalysisPipeline pipeline;
   core::CaseStudyRunner swept = core::make_oahu_case_study(options);
-  core::CaseStudyRunner batched = core::make_oahu_case_study(options);
-  const core::ResumableAnalysis sweep =
-      swept.run_all_resumable(configs, scenarios, {});
+  core::CaseStudyRunner per_cell = core::make_oahu_case_study(options);
+  const core::ResumableAnalysis sweep = swept.run(configs, scenarios);
   ASSERT_EQ(sweep.results.size(), configs.size() * scenarios.size());
   EXPECT_EQ(sweep.cached_cells, 0u);
 
@@ -387,10 +413,14 @@ TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
       const core::ScenarioResult want =
           pipeline.analyze(config, scenario, full);
       expect_same(want, sweep.results[cell], "scoped sweep " + label);
-      const core::ScenarioResult hit = swept.run(config, scenario);
+      const core::ScenarioResult hit =
+          swept.run({config}, {scenario}).results[0];
       EXPECT_TRUE(hit.from_cache) << label;
-      expect_same(want, hit, "sweep -> run() " + label);
-      EXPECT_FALSE(batched.run(config, scenario).from_cache) << label;
+      expect_same(want, hit, "matrix sweep -> one-cell sweep " + label);
+      const core::ScenarioResult own =
+          per_cell.run({config}, {scenario}).results[0];
+      EXPECT_FALSE(own.from_cache) << label;
+      expect_same(want, own, "one-cell scope " + label);
       flooded += want.outcomes.total() -
                  want.outcomes.count(threat::OperationalState::kGreen);
       ++cell;
@@ -398,13 +428,12 @@ TEST(EnsembleCaseStudyTest, ScopedSweepAndFullBatchServeEachOthersCells) {
   }
   EXPECT_GT(flooded, 0u) << "the ensemble must exercise flooded sites";
 
-  const core::ResumableAnalysis served =
-      batched.run_all_resumable(configs, scenarios, {});
+  const core::ResumableAnalysis served = per_cell.run(configs, scenarios);
   EXPECT_EQ(served.cached_cells, sweep.results.size());
   EXPECT_EQ(served.executed, 0u);
   for (std::size_t i = 0; i < sweep.results.size(); ++i) {
     expect_same(sweep.results[i], served.results[i],
-                "run() -> sweep cell " + std::to_string(i));
+                "one-cell sweeps -> matrix sweep cell " + std::to_string(i));
   }
 }
 
@@ -445,8 +474,39 @@ int simple_outcome(const surge::HurricaneRealization& r) {
   return r.impacts.empty() ? 0 : (r.impacts.size() > 2 ? 2 : 1);
 }
 
+/// simple_outcome folded serially over a batch's survivors.
+std::array<std::uint64_t, 4> serial_counts(
+    const std::vector<surge::HurricaneRealization>& survivors) {
+  std::array<std::uint64_t, 4> counts{};
+  for (const surge::HurricaneRealization& r : survivors) {
+    ++counts[static_cast<std::size_t>(simple_outcome(r))];
+  }
+  return counts;
+}
+
+/// One series of simple_outcome over realizations [0, count), through the
+/// sweep; `key` is the series' cache key ("" bypasses the cache).
+runtime::EnsembleReport sweep_simple(runtime::EnsembleRunner& runner,
+                                     const surge::RealizationEngine& engine,
+                                     std::size_t count,
+                                     const std::string& key = "") {
+  runtime::SweepSpec spec;
+  spec.digest = "simple-outcome";
+  spec.count = count;
+  spec.series = {key};
+  return runner
+      .run_resumable(
+          runtime::fixed_engine(engine), spec,
+          [](std::size_t, const surge::HurricaneRealization& r) {
+            return simple_outcome(r);
+          },
+          runtime::CheckpointOptions{})
+      .series[0];
+}
+
 /// The acceptance gate of the quarantine machinery: the ledger AND the
-/// partial distribution must be bit-identical at any --jobs value.
+/// partial distribution must be bit-identical at any --jobs value, for the
+/// materialized batch and for the sweep's counts over it.
 TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
   constexpr const char* kSpec = "throw:every=7";  // fires on every attempt
@@ -454,9 +514,11 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
   runtime::EnsembleRunner serial(guarded_options(1, kSpec, 1));
   const runtime::GeneratedBatch reference =
       serial.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleReport reference_report =
-      serial.count_outcomes_guarded([&] { return reference.view(); },
-                                    simple_outcome, "");
+  const std::array<std::uint64_t, 4> reference_counts =
+      serial_counts(reference.realizations);
+  const runtime::EnsembleReport serial_report =
+      sweep_simple(serial, engine, kRealizations);
+  EXPECT_EQ(serial_report.counts.counts, reference_counts);
 
   // Indices 0, 7, 14, 21, 28, 35 quarantine after 1 + 1 attempts.
   ASSERT_EQ(reference.ledger.failures.size(), 6u);
@@ -488,11 +550,15 @@ TEST(EnsembleGuardedTest, QuarantineDeterministicAcrossJobs) {
       EXPECT_EQ(batch.ledger.failures[i].attempts,
                 reference.ledger.failures[i].attempts);
     }
-    const runtime::EnsembleReport report = parallel.count_outcomes_guarded(
-        [&] { return batch.view(); }, simple_outcome, "");
-    EXPECT_EQ(report.counts.counts, reference_report.counts.counts)
-        << "jobs " << jobs;
-    EXPECT_EQ(report.counts.total, reference_report.counts.total);
+    const runtime::EnsembleReport report =
+        sweep_simple(parallel, engine, kRealizations);
+    EXPECT_EQ(report.counts.counts, reference_counts) << "jobs " << jobs;
+    EXPECT_EQ(report.counts.total, reference.realizations.size());
+    ASSERT_EQ(report.failures.size(), reference.ledger.failures.size());
+    for (std::size_t i = 0; i < report.failures.size(); ++i) {
+      EXPECT_EQ(report.failures[i].realization,
+                reference.ledger.failures[i].realization);
+    }
   }
 }
 
@@ -561,35 +627,26 @@ TEST(EnsembleGuardedTest, PartialResultIsNeverCached) {
       guarded_options(2, "throw:every=7", 0);
   degraded_options.cache = true;
   runtime::EnsembleRunner degraded(degraded_options);
-  const runtime::GeneratedBatch batch =
-      degraded.generate_guarded(engine, kRealizations);
-  // The batch view carries the quarantine ledger; counting over it keeps
-  // the generation failures in the report.
-  const runtime::EnsembleRunner::BatchFn batch_fn = [&]() {
-    return batch.view();
-  };
   const runtime::EnsembleReport first =
-      degraded.count_outcomes_guarded(batch_fn, simple_outcome, key);
+      sweep_simple(degraded, engine, kRealizations, key);
   EXPECT_TRUE(first.degraded());
   EXPECT_FALSE(first.counts.from_cache);
   // A degraded result must NOT have been stored under the full-ensemble
   // key: the rerun recomputes instead of serving the partial histogram.
   const runtime::EnsembleReport second =
-      degraded.count_outcomes_guarded(batch_fn, simple_outcome, key);
+      sweep_simple(degraded, engine, kRealizations, key);
   EXPECT_FALSE(second.counts.from_cache);
+  EXPECT_TRUE(second.degraded());
 
   // A clean runner stores under the same key and the hit is complete.
   runtime::EnsembleOptions clean_options = guarded_options(2, "none", 0);
   clean_options.cache = true;
   runtime::EnsembleRunner clean(clean_options);
-  const runtime::GeneratedBatch full =
-      clean.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleRunner::BatchFn full_fn = [&] { return full.view(); };
   const runtime::EnsembleReport cold =
-      clean.count_outcomes_guarded(full_fn, simple_outcome, key);
+      sweep_simple(clean, engine, kRealizations, key);
   EXPECT_FALSE(cold.counts.from_cache);
   const runtime::EnsembleReport warm =
-      clean.count_outcomes_guarded(full_fn, simple_outcome, key);
+      sweep_simple(clean, engine, kRealizations, key);
   EXPECT_TRUE(warm.counts.from_cache);
   EXPECT_EQ(warm.attempted, warm.completed);
   EXPECT_EQ(warm.counts.counts, cold.counts.counts);
@@ -600,16 +657,12 @@ TEST(EnsembleGuardedTest, MassBoundBracketsTrueProbability) {
 
   // Ground truth: the clean full ensemble.
   runtime::EnsembleRunner clean(guarded_options(2, "none", 0));
-  const runtime::GeneratedBatch full =
-      clean.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleReport truth = clean.count_outcomes_guarded(
-      [&] { return full.view(); }, simple_outcome, "");
+  const runtime::EnsembleReport truth =
+      sweep_simple(clean, engine, kRealizations);
 
   runtime::EnsembleRunner degraded(guarded_options(2, "throw:every=7", 0));
-  const runtime::GeneratedBatch batch =
-      degraded.generate_guarded(engine, kRealizations);
-  const runtime::EnsembleReport partial = degraded.count_outcomes_guarded(
-      [&]() { return batch.view(); }, simple_outcome, "");
+  const runtime::EnsembleReport partial =
+      sweep_simple(degraded, engine, kRealizations);
   ASSERT_TRUE(partial.degraded());
   EXPECT_EQ(partial.attempted, kRealizations);
   EXPECT_EQ(partial.completed, kRealizations - 6);
@@ -636,10 +689,40 @@ TEST(EnsembleGuardedTest, MassBoundBracketsTrueProbability) {
   }
 }
 
+/// A classifier that throws quarantines its realization, not the sweep:
+/// the index leaves every series, at any jobs value.
+TEST(EnsembleGuardedTest, ThrowingClassifierQuarantinesTheIndexInEverySeries) {
+  const surge::RealizationEngine engine = make_engine(kSeeds[0]);
+  runtime::SweepSpec spec;
+  spec.digest = "throwing-classifier";
+  spec.count = kRealizations;
+  spec.series = {"", ""};
+  for (const unsigned jobs : {1u, 8u}) {
+    runtime::EnsembleRunner runner(guarded_options(jobs, "none", 0));
+    const runtime::ResumableReport report = runner.run_resumable(
+        runtime::fixed_engine(engine), spec,
+        [](std::size_t series, const surge::HurricaneRealization& r) {
+          if (series == 1 && r.index == 11) {
+            throw std::runtime_error("classifier failure");
+          }
+          return simple_outcome(r);
+        },
+        runtime::CheckpointOptions{});
+    for (const runtime::EnsembleReport& series : report.series) {
+      ASSERT_EQ(series.failures.size(), 1u) << "jobs " << jobs;
+      EXPECT_EQ(series.failures[0].realization, 11u);
+      EXPECT_EQ(series.completed, kRealizations - 1);
+      EXPECT_EQ(series.counts.total, kRealizations - 1);
+    }
+    EXPECT_EQ(report.series[0].counts.counts, report.series[1].counts.counts);
+  }
+}
+
 /// One fault surface, two shapes: under each CT_FAULT profile the fused
-/// run_resumable stream and generate_guarded + count_outcomes_guarded must
-/// quarantine the same indices with the same codes and attempt counts and
-/// leave the same survivor histogram — at jobs 1 and 8.
+/// run_resumable stream and the materialized generate_guarded batch must
+/// quarantine the same indices with the same codes and attempt counts, and
+/// the stream's histogram must equal a serial fold over the batch's
+/// survivors — at jobs 1 and 8.
 TEST(EnsembleGuardedTest, FaultSurfaceIdenticalOnBothShapes) {
   constexpr std::size_t kCount = 30;
   const surge::RealizationEngine engine = make_engine(kSeeds[0]);
@@ -655,11 +738,6 @@ TEST(EnsembleGuardedTest, FaultSurfaceIdenticalOnBothShapes) {
       // 0, 10, 20 stall past the watchdog and time out
       {"delay:every=10,ms=50", 3, std::chrono::milliseconds(40)},
   };
-  runtime::SweepSpec spec;
-  spec.digest = "fault-surface";
-  spec.count = kCount;
-  spec.series = {""};  // no cache key: both shapes must compute
-
   for (const Profile& profile : profiles) {
     for (const unsigned jobs : {1u, 8u}) {
       const std::string context =
@@ -671,38 +749,28 @@ TEST(EnsembleGuardedTest, FaultSurfaceIdenticalOnBothShapes) {
       runtime::EnsembleRunner batch_runner(options);
       const runtime::GeneratedBatch batch =
           batch_runner.generate_guarded(engine, kCount);
-      const runtime::EnsembleReport materialized =
-          batch_runner.count_outcomes_guarded([&] { return batch.view(); },
-                                              simple_outcome, "");
+      const std::vector<runtime::FailureRecord>& materialized =
+          batch.ledger.failures;
 
       runtime::EnsembleRunner stream_runner(options);
-      const runtime::ResumableReport stream = stream_runner.run_resumable(
-          runtime::fixed_engine(engine), spec,
-          [](std::size_t, const surge::HurricaneRealization& r) {
-            return simple_outcome(r);
-          },
-          runtime::CheckpointOptions{});
-      ASSERT_EQ(stream.series.size(), 1u);
-      const runtime::EnsembleReport& fused = stream.series[0];
+      const runtime::EnsembleReport fused =
+          sweep_simple(stream_runner, engine, kCount);
 
-      ASSERT_EQ(materialized.failures.size(), profile.quarantined) << context;
-      ASSERT_EQ(fused.failures.size(), materialized.failures.size())
-          << context;
+      ASSERT_EQ(materialized.size(), profile.quarantined) << context;
+      ASSERT_EQ(fused.failures.size(), materialized.size()) << context;
       for (std::size_t i = 0; i < fused.failures.size(); ++i) {
-        EXPECT_EQ(fused.failures[i].realization,
-                  materialized.failures[i].realization)
+        EXPECT_EQ(fused.failures[i].realization, materialized[i].realization)
             << context;
-        EXPECT_EQ(fused.failures[i].code, materialized.failures[i].code)
-            << context;
-        EXPECT_EQ(fused.failures[i].attempts,
-                  materialized.failures[i].attempts)
+        EXPECT_EQ(fused.failures[i].code, materialized[i].code) << context;
+        EXPECT_EQ(fused.failures[i].attempts, materialized[i].attempts)
             << context;
       }
-      EXPECT_EQ(fused.retries, materialized.retries) << context;
-      EXPECT_EQ(fused.attempted, materialized.attempted) << context;
-      EXPECT_EQ(fused.completed, materialized.completed) << context;
-      EXPECT_EQ(fused.counts.counts, materialized.counts.counts) << context;
-      EXPECT_EQ(fused.counts.total, materialized.counts.total) << context;
+      EXPECT_EQ(fused.retries, batch.ledger.retries) << context;
+      EXPECT_EQ(fused.attempted, batch.attempted) << context;
+      EXPECT_EQ(fused.completed, batch.realizations.size()) << context;
+      EXPECT_EQ(fused.counts.counts, serial_counts(batch.realizations))
+          << context;
+      EXPECT_EQ(fused.counts.total, batch.realizations.size()) << context;
     }
   }
 }
@@ -721,7 +789,7 @@ TEST(EnsembleGuardedTest, CaseStudyDegradesGracefully) {
     options.realizations = 26;
     options.runtime = guarded_options(jobs, "throw:every=13", 1);
     core::CaseStudyRunner runner = core::make_oahu_case_study(options);
-    return runner.run(configs[0], scenario);
+    return runner.run({configs[0]}, {scenario}).results[0];
   };
 
   const core::ScenarioResult serial = run(1);

@@ -2,10 +2,11 @@
 // site-scoped realization batches with the full batch.
 //
 // downtime and siting classify only the control sites their configurations
-// place, so they read a batch generated by an engine scoped to those sites
-// (CaseStudyRunner::realizations(sites)). The goldens pin each report byte
-// for byte, with its exit code, at the paper seed over 1000 realizations,
-// as the full-batch implementation printed them. On an intended change,
+// place, so they generate from an engine scoped to those sites: downtime
+// reads its batch (CaseStudyRunner::realizations(sites)), siting sweeps
+// candidates x scenarios once (CaseStudyRunner::run). The goldens pin each
+// report byte for byte, with its exit code, at the paper seed over 1000
+// realizations, as the full-batch implementation printed them. On an intended change,
 // copy the digest the failure prints into kGolden and record the change in
 // CHANGES.md.
 #include <algorithm>

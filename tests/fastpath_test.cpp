@@ -409,7 +409,7 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
   const RealizationEngine engine(oahu(), oahu_assets(), {});
 
   // Serial ensemble via run_batch; pooled ensemble via the runner's
-  // guarded batch (which routes through run() on the pool).
+  // guarded batch and its sweep (both route through run() on the pool).
   const std::vector<HurricaneRealization> serial = engine.run_batch(kCount);
 
   const auto configs = scada::paper_configurations(
@@ -417,6 +417,14 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
       scada::oahu_ids::kDrFortress);
   ASSERT_EQ(configs.size(), 5u);
   const core::AnalysisPipeline pipeline;
+  std::vector<core::SweepCell> cells;
+  for (const scada::Configuration& config : configs) {
+    for (const threat::ThreatScenario scenario :
+         {threat::ThreatScenario::kHurricane,
+          threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
+      cells.push_back(core::SweepCell{&config, scenario});
+    }
+  }
 
   for (const unsigned jobs : {1u, 8u}) {
     runtime::EnsembleOptions options;
@@ -433,23 +441,22 @@ TEST(Fastpath, OutcomeDistributionsBitIdenticalForPaperConfigsAtJobs1And8) {
                                std::to_string(i) + "]");
     }
 
-    for (const scada::Configuration& config : configs) {
-      for (const threat::ThreatScenario scenario :
-           {threat::ThreatScenario::kHurricane,
-            threat::ThreatScenario::kHurricaneIntrusionIsolation}) {
-        const core::ScenarioResult from_fast = pipeline.analyze_lazy(
-            config, scenario, [&] { return batch.view(); }, runner, "");
-        const core::ScenarioResult from_serial =
-            pipeline.analyze(config, scenario, serial);
-        ASSERT_EQ(from_fast.outcomes.total(), from_serial.outcomes.total());
-        for (const threat::OperationalState s :
-             {threat::OperationalState::kGreen,
-              threat::OperationalState::kOrange,
-              threat::OperationalState::kRed,
-              threat::OperationalState::kGray}) {
-          EXPECT_EQ(from_fast.outcomes.count(s), from_serial.outcomes.count(s))
-              << config.name << " jobs=" << jobs;
-        }
+    const core::ResumableAnalysis swept = pipeline.analyze_resumable(
+        cells, runtime::fixed_engine(engine), kCount, runner, "",
+        runtime::CheckpointOptions{});
+    ASSERT_EQ(swept.results.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      const core::ScenarioResult& from_fast = swept.results[c];
+      const core::ScenarioResult from_serial =
+          pipeline.analyze(*cells[c].config, cells[c].scenario, serial);
+      ASSERT_EQ(from_fast.outcomes.total(), from_serial.outcomes.total());
+      for (const threat::OperationalState s :
+           {threat::OperationalState::kGreen,
+            threat::OperationalState::kOrange,
+            threat::OperationalState::kRed,
+            threat::OperationalState::kGray}) {
+        EXPECT_EQ(from_fast.outcomes.count(s), from_serial.outcomes.count(s))
+            << cells[c].config->name << " jobs=" << jobs;
       }
     }
   }
@@ -554,8 +561,15 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
   options.disk_cache = true;
   options.cache_dir = dir.string();
 
-  const auto outcome = [](const HurricaneRealization& r) {
+  const auto outcome = [](std::size_t, const HurricaneRealization& r) {
     return r.asset_failed(scada::oahu_ids::kHonoluluCc) ? 1 : 0;
+  };
+  const auto spec_for = [](const std::string& key) {
+    runtime::SweepSpec spec;
+    spec.digest = key;
+    spec.count = 8;
+    spec.series = {key};
+    return spec;
   };
 
   std::string first_key;
@@ -563,11 +577,10 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     const RealizationEngine engine(oahu(), oahu_assets(), {});
     runtime::EnsembleRunner runner(options);
     first_key = runtime::EnsembleRunner::digest_engine_batch(engine, 8);
-    const std::vector<HurricaneRealization> batch = engine.run_batch(8);
-    const auto counts = runner.count_outcomes_guarded(
-        [&] { return runtime::BatchView{&batch, nullptr, batch.size()}; },
-        outcome, first_key);
-    EXPECT_FALSE(counts.counts.from_cache);
+    const runtime::ResumableReport report =
+        runner.run_resumable(runtime::fixed_engine(engine), spec_for(first_key),
+                             outcome, runtime::CheckpointOptions{});
+    EXPECT_FALSE(report.series[0].counts.from_cache);
   }
   {
     // A separate engine instance with an identical config must produce the
@@ -577,14 +590,14 @@ TEST(Fastpath, IdenticalEnginesShareTheDiskCacheAcrossInstances) {
     const std::string key =
         runtime::EnsembleRunner::digest_engine_batch(engine, 8);
     EXPECT_EQ(key, first_key);
-    const std::vector<HurricaneRealization> none;
-    const auto counts = runner.count_outcomes_guarded(
-        [&] {
-          ADD_FAILURE() << "disk hit materialized the batch";
-          return runtime::BatchView{&none, nullptr, 0};
+    const runtime::ResumableReport report = runner.run_resumable(
+        [&]() -> const RealizationEngine& {
+          ADD_FAILURE() << "disk hit derived the engine";
+          return engine;
         },
-        outcome, key);
-    EXPECT_TRUE(counts.counts.from_cache);
+        spec_for(key), outcome, runtime::CheckpointOptions{});
+    EXPECT_TRUE(report.series[0].counts.from_cache);
+    EXPECT_EQ(report.executed, 0u);
   }
   std::filesystem::remove_all(dir);
 }

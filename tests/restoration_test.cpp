@@ -2,8 +2,13 @@
 // orange / red / gray state semantics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "core/case_study.h"
 #include "core/restoration.h"
 #include "scada/configuration.h"
+#include "scada/oahu.h"
 #include "util/stats.h"
 
 namespace ct::core {
@@ -21,6 +26,18 @@ SystemState state_of(std::vector<SiteStatus> status,
 }
 
 const RestorationModel kModel{};  // defaults
+
+runtime::EnsembleOptions with_jobs(unsigned jobs) {
+  runtime::EnsembleOptions options;
+  options.jobs = jobs;
+  return options;
+}
+
+/// A strictly serial runner: the fold order is the realization order.
+runtime::EnsembleRunner& serial_runner() {
+  static runtime::EnsembleRunner runner(with_jobs(1));
+  return runner;
+}
 
 TEST(Restoration, GreenCostsNothing) {
   const auto config = scada::make_config_2("p");
@@ -117,7 +134,7 @@ TEST(Restoration, AnalyzeAggregatesOverRealizations) {
 
   const RestorationResult result = analyze_restoration(
       config, threat::ThreatScenario::kHurricane, batch, kModel,
-      /*samples_per_realization=*/0);
+      serial_runner(), /*samples_per_realization=*/0);
   // 8 green (0 h) + 1 orange (1/6 h) + 1 red (96 h) over 10 realizations.
   EXPECT_NEAR(result.expected_downtime_hours,
               (kModel.activation_minutes / 60.0 + kModel.flood_repair_hours) /
@@ -133,7 +150,7 @@ TEST(Restoration, IntrusionScenarioAccruesIncorrectHours) {
   surge::HurricaneRealization clean;
   const RestorationResult result = analyze_restoration(
       config, threat::ThreatScenario::kHurricaneIntrusion, {clean}, kModel,
-      0);
+      serial_runner(), 0);
   EXPECT_NEAR(result.expected_incorrect_hours,
               kModel.compromise_detection_hours, 1e-9);
   EXPECT_NEAR(result.expected_downtime_hours, kModel.compromise_cleanup_hours,
@@ -145,9 +162,45 @@ TEST(Restoration, IntrusionTolerantConfigAvoidsIncorrectHours) {
   surge::HurricaneRealization clean;
   const RestorationResult result = analyze_restoration(
       config, threat::ThreatScenario::kHurricaneIntrusion, {clean}, kModel,
-      0);
+      serial_runner(), 0);
   EXPECT_DOUBLE_EQ(result.expected_incorrect_hours, 0.0);
   EXPECT_DOUBLE_EQ(result.expected_downtime_hours, 0.0);
+}
+
+/// The pooled fold is bit-identical at any jobs value, stochastic
+/// percentile included: every field of every paper configuration under
+/// every scenario, jobs 1 against jobs 8, with 8 repair-time draws per
+/// realization.
+TEST(Restoration, AllFieldsBitIdenticalAtJobs1And8WithSampling) {
+  CaseStudyOptions options;
+  options.realizations = 60;
+  options.runtime.fault_spec = "none";
+  CaseStudyRunner study = make_oahu_case_study(options);
+  const auto configs = scada::paper_configurations(
+      scada::oahu_ids::kHonoluluCc, scada::oahu_ids::kWaiauCc,
+      scada::oahu_ids::kDrFortress);
+  const auto& realizations = study.realizations(site_union(configs));
+  runtime::EnsembleRunner wide(with_jobs(8));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  double any_downtime = 0.0;
+  for (const threat::ThreatScenario scenario : threat::all_scenarios()) {
+    for (const scada::Configuration& config : configs) {
+      const RestorationResult a = analyze_restoration(
+          config, scenario, realizations, kModel, serial_runner(), 8);
+      const RestorationResult b = analyze_restoration(
+          config, scenario, realizations, kModel, wide, 8);
+      const std::string at =
+          config.name + " / " + std::string(threat::scenario_name(scenario));
+      EXPECT_EQ(bits(a.expected_downtime_hours),
+                bits(b.expected_downtime_hours)) << at;
+      EXPECT_EQ(bits(a.expected_incorrect_hours),
+                bits(b.expected_incorrect_hours)) << at;
+      EXPECT_EQ(bits(a.p95_downtime_hours), bits(b.p95_downtime_hours)) << at;
+      EXPECT_EQ(bits(a.p_any_downtime), bits(b.p_any_downtime)) << at;
+      any_downtime += a.p_any_downtime;
+    }
+  }
+  EXPECT_GT(any_downtime, 0.0) << "the ensemble must cost some downtime";
 }
 
 }  // namespace
